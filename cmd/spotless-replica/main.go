@@ -87,7 +87,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 150*time.Millisecond, "initial view timeout")
 		stats     = flag.Duration("stats", 5*time.Second, "stats reporting interval")
 		ckptEvery = flag.Int("checkpoint-interval", 128, "checkpoint/GC/state-transfer interval in delivered batches (0 disables)")
-		fetchCap  = flag.Int("checkpoint-fetch-cap", 512, "max ledger blocks per state-transfer chunk")
 		idleWait  = flag.Duration("idle-backoff", 25*time.Millisecond, "pace view entry when no client batches are pending (0 disables; keep below -timeout)")
 		instWkrs  = flag.Int("instance-workers", 0, "event-loop goroutines hosting the m consensus instances (plus one ordering stage); 0 sizes adaptively to min(m, GOMAXPROCS), 1 keeps the classic single loop")
 		useDissem = flag.Bool("dissem", false, "digest ordering: disseminate client batches with availability certificates, consensus orders digests only")
@@ -98,7 +97,8 @@ func main() {
 		fsyncPol  = flag.String("fsync", "percommit", "WAL durability policy: percommit (fsync every append), batched (group fsyncs), off (page cache only)")
 	)
 	flag.Parse()
-	if _, err := core.PacemakerByName(*pacemaker); err != nil {
+	pm, err := core.PacemakerByName(*pacemaker)
+	if err != nil {
 		log.Fatalf("spotless-replica: %v", err)
 	}
 
@@ -200,13 +200,12 @@ func main() {
 	// thousands of no-op views per second; with it, view entry waits up to
 	// the backoff for a client batch before proposing the no-op filler.
 	cfg.IdleBackoff = *idleWait
-	cfg.Pacemaker = *pacemaker
+	cfg.Pacemaker = pm
 	if *ckptEvery > 0 {
 		// Checkpoint + GC + state transfer: bounds memory in long runs and
 		// lets a restarted replica rejoin from the stable checkpoint (the
 		// operator kill-and-rejoin path; see README).
 		cfg.CheckpointInterval = *ckptEvery
-		cfg.CheckpointFetchCap = *fetchCap
 		cfg.Host = exec
 	}
 	if *useDissem {

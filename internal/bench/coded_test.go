@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -54,24 +55,29 @@ func TestDissemCodedCutsEgress(t *testing.T) {
 
 // TestSafetyDrillCodedSweep: the seeded adversary sweep (targeted
 // delay/drop/partition plus the equivocating-origin composition every third
-// seed) under ERASURE-CODED dissemination — delivery now depends on chunk
-// reconstruction, and honest ledgers must still agree block-for-block. The
-// full 200-seed bar runs via `spotless-bench -safety-drill 200
-// -safety-dissem-code 2`.
+// seed) under digest ordering, with the full push (k=0) and with
+// ERASURE-CODED dissemination (k=2), where delivery depends on chunk
+// reconstruction — honest ledgers must agree block-for-block either way.
+// The full 200-seed bars run via `spotless-bench -safety-drill 200
+// -safety-dissem` and `-safety-dissem-code 2`.
 func TestSafetyDrillCodedSweep(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
 		seeds = 4
 	}
-	res := RunSafetyDrill(SafetyDrillOptions{Seeds: seeds, Dissem: true, DissemCode: 2})
-	if len(res.Divergent) != 0 {
-		for _, d := range res.Divergent {
-			t.Log(d.Report)
-		}
-		t.Fatalf("%d of %d adversary seeds diverged under coded dissemination", len(res.Divergent), seeds)
-	}
-	if res.Delivered == 0 {
-		t.Fatal("the coded drill delivered nothing — chunks never reconstructed under chaos")
+	for _, k := range []int{0, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			res := RunSafetyDrill(SafetyDrillOptions{Seeds: seeds, Dissem: true, DissemCode: k})
+			if len(res.Divergent) != 0 {
+				for _, d := range res.Divergent {
+					t.Log(d.Report)
+				}
+				t.Fatalf("%d of %d adversary seeds diverged under dissemination k=%d", len(res.Divergent), seeds, k)
+			}
+			if res.Delivered == 0 {
+				t.Fatalf("the k=%d drill delivered nothing under chaos", k)
+			}
+		})
 	}
 }
 

@@ -86,7 +86,7 @@ type RuntimeOptions struct {
 	Instances       int
 	InstanceWorkers int // 0 sizes adaptively to min(m, GOMAXPROCS)
 	BatchSize       int
-	Outstanding     int  // closed-loop batches per instance
+	Outstanding     int  // closed-loop batches per instance; with Dissem, the total over the n origin lanes
 	Dissem          bool // digest ordering via internal/dissem
 	DissemCode      int  // erasure-coded dissemination (requires Dissem)
 	Warmup          time.Duration
@@ -211,12 +211,13 @@ func RunRuntime(o RuntimeOptions) (Result, error) {
 
 	wl := loadgen.DefaultWorkload(o.BatchSize)
 	wl.Records = 10000
-	srcStreams := m
+	srcStreams, credits := m, o.Outstanding
 	if o.Dissem {
-		srcStreams = n // one lane per origin replica
+		// One lane per origin replica, sharing the closed-loop credits.
+		srcStreams, credits = n, max(1, o.Outstanding/n)
 	}
 	client := &rtClient{
-		src:     loadgen.NewSource(srcStreams, o.Outstanding, wl),
+		src:     loadgen.NewSource(srcStreams, credits, wl),
 		f:       f,
 		start:   time.Now(),
 		informs: make(map[types.Digest]map[types.NodeID]bool),

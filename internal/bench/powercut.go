@@ -136,7 +136,8 @@ func powerCutArm(durable bool, o PowerCutOptions) (PowerCutArm, error) {
 	}
 	if durable {
 		cfg.DataDir = "powercut"
-		cfg.FS = wal.NewMemFS()
+		fsys := wal.NewMemFS()
+		cfg.FSFor = func(int) wal.FS { return fsys }
 	}
 	cl, err := runtime.NewCluster(cfg)
 	if err != nil {

@@ -47,7 +47,7 @@ type Options struct {
 
 	BatchSize   int // txns per batch (paper default 100)
 	TxnValueSz  int // per-txn payload bytes (transaction-size experiment)
-	Outstanding int // closed-loop batches per instance (load knob, Fig 10)
+	Outstanding int // closed-loop batches per instance (load knob, Fig 10); digest ordering splits it over the n origin lanes
 
 	// TuneBatchSize pins the SpotLess timer auto-tuning to a reference
 	// batch size instead of BatchSize (0). The dissemination sweep uses it
@@ -279,15 +279,17 @@ func Run(o Options) Result {
 	sim := simnet.New(scfg)
 
 	// Client load: one stream per sourcing instance — or per origin replica
-	// when dissemination owns the source.
-	sourceStreams := m
-	if o.Protocol == NarwhalHS || (o.Protocol == SpotLess && o.Dissem) {
-		sourceStreams = n
+	// when dissemination owns the source. Under digest ordering the n
+	// origin lanes share Outstanding (at least one credit each), so the
+	// cluster keeps Outstanding batches in flight whatever n is.
+	credits := o.Outstanding
+	if o.Protocol == SpotLess && o.Dissem {
+		credits = max(1, o.Outstanding/n)
 	}
 	wl := loadgen.DefaultWorkload(o.BatchSize)
 	wl.TxnValueSz = o.TxnValueSz
 	wl.Seed = o.Seed
-	src := loadgen.NewSource(sourceStreams, o.Outstanding, wl)
+	src := loadgen.NewSource(streams, credits, wl)
 	sim.SetBatchSource(src)
 	col := loadgen.NewCollector(sim.Context(simnet.ClientNode), src, f, o.TimelineBucket)
 	col.MeasureStart = o.Warmup

@@ -118,13 +118,17 @@ func runSafetySeed(o SafetyDrillOptions, seed int64) ([][]SlotRecord, uint64) {
 	for i := 0; i < f; i++ {
 		victims[types.NodeID(i)] = true
 	}
+	pm, err := core.PacemakerByName(o.Pacemaker)
+	if err != nil {
+		panic(err)
+	}
 	for i := 0; i < n; i++ {
 		id := types.NodeID(i)
 		cfg := core.DefaultConfig(n, m)
 		cfg.InitialRecordingTimeout = 20 * time.Millisecond
 		cfg.InitialCertifyTimeout = 20 * time.Millisecond
 		cfg.MinTimeout = 5 * time.Millisecond
-		cfg.Pacemaker = o.Pacemaker
+		cfg.Pacemaker = pm
 		cfg.UnsafeLegacyResolution = o.Legacy
 		if o.Dissem {
 			cfg.Dissem = dissem.New(dissem.Config{N: n, F: f, CodeK: o.DissemCode})

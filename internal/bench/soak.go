@@ -90,13 +90,17 @@ func runSoakSeed(o SoakOptions, profile, arm string, seed int64) ([]FaultOutcome
 	scfg.Seed = seed
 	scfg.BaseHandlerCost = time.Microsecond
 	sim := simnet.New(scfg)
+	pm, err := core.PacemakerByName(arm)
+	if err != nil {
+		return nil, nil, 0, err
+	}
 
 	mkCfg := func() core.Config {
 		cfg := core.DefaultConfig(n, m)
 		cfg.InitialRecordingTimeout = 20 * time.Millisecond
 		cfg.InitialCertifyTimeout = 20 * time.Millisecond
 		cfg.MinTimeout = 5 * time.Millisecond
-		cfg.Pacemaker = arm
+		cfg.Pacemaker = pm
 		// Checkpointing on: the soak's faults leave replicas hundreds of
 		// commits behind, and state transfer is the designed recovery path
 		// for that (one-proposal-per-Ask backfill alone never drains it).

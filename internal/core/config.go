@@ -29,12 +29,8 @@ type Config struct {
 	// InitialCertifyTimeout is the starting value of tA (state ST3: wait
 	// for n−f matching claims).
 	InitialCertifyTimeout time.Duration
-	// Epsilon is the additive timeout increase applied after consecutive
-	// timeouts of the same timer in consecutive views (§3.5).
-	Epsilon time.Duration
-	// MinTimeout / MaxTimeout clamp the adaptive timers.
+	// MinTimeout floors the adaptive timers (maxTimeout caps them).
 	MinTimeout time.Duration
-	MaxTimeout time.Duration
 	// RetransmitInterval drives the periodic retransmission of §3.5 for
 	// replicas stuck waiting on replies.
 	RetransmitInterval time.Duration
@@ -70,12 +66,6 @@ type Config struct {
 	// a full state transfer. Callers validate it first (VerifyResume);
 	// nil starts from genesis. Requires CheckpointInterval > 0.
 	Resume *ResumeState
-	// PendingWindow bounds how far ahead of the current view proposals are
-	// buffered (flooding guard).
-	PendingWindow int
-	// CatchupWindow caps how many skipped views receive explicit
-	// Sync(u, claim(∅), CP, Υ) catch-up messages in one jump.
-	CatchupWindow int
 
 	// IdleBackoff paces view entry when the cluster is idle: a primary whose
 	// NextBatch comes back empty delays its proposal by up to IdleBackoff
@@ -90,17 +80,13 @@ type Config struct {
 	// or backups will claim(∅) before the paced proposal arrives.
 	IdleBackoff time.Duration
 
-	// Pacemaker selects the view-synchronizer arm by name: "spotless" (the
-	// default — the paper's §3.5 adaptive timers), "relay" (Cogsworth-style
-	// linear escalation with reset-on-progress), or "doubling"
-	// (Lumiere-style exponential backoff). See pacemaker.go and the
-	// bench.RunSoak bake-off. Unknown names panic at construction; the cmd
-	// binaries validate through PacemakerByName first.
-	Pacemaker string
-	// PacemakerFactory overrides Pacemaker with a custom constructor (one
-	// call per instance shard). Tests use it to inject fixed-policy or
-	// instrumented pacemakers; nil resolves Pacemaker by name.
-	PacemakerFactory PacemakerFactory
+	// Pacemaker builds the view-synchronizer of each instance shard. nil
+	// runs "spotless", the paper's §3.5 adaptive timers; PacemakerByName
+	// resolves the bake-off arms ("relay", Cogsworth-style linear
+	// escalation; "doubling", Lumiere-style exponential backoff), and tests
+	// inject fixed-policy or instrumented pacemakers. See pacemaker.go and
+	// the bench.RunSoak bake-off.
+	Pacemaker PacemakerFactory
 
 	// UnsafeLegacyResolution restores the seed's view-resolution rules —
 	// bare A3 (any conditionally prepared parent above the lock unlocks),
@@ -193,15 +179,28 @@ func DefaultConfig(n, m int) Config {
 		Instances:               m,
 		InitialRecordingTimeout: 40 * time.Millisecond,
 		InitialCertifyTimeout:   40 * time.Millisecond,
-		Epsilon:                 5 * time.Millisecond,
 		MinTimeout:              2 * time.Millisecond,
-		MaxTimeout:              4 * time.Second,
 		RetransmitInterval:      120 * time.Millisecond,
 		RetentionViews:          256,
-		PendingWindow:           64,
-		CatchupWindow:           32,
 	}
 }
+
+// Fixed protocol parameters. Each was a Config field that no deployment,
+// drill or benchmark ever set to a second value.
+const (
+	// epsilon is the additive timeout increase applied after consecutive
+	// timeouts of the same timer in consecutive views (§3.5).
+	epsilon = 5 * time.Millisecond
+	// maxTimeout caps the adaptive timers (Config.MinTimeout floors them).
+	maxTimeout = 4 * time.Second
+	// pendingWindow bounds how far ahead of the current view proposals are
+	// buffered (flooding guard); Syncs get four times the slack.
+	pendingWindow = 64
+	// catchupWindow caps how many skipped views receive explicit
+	// Sync(u, claim(∅), CP, Υ) catch-up messages in one jump, and how many
+	// ancestors one Ask answer carries.
+	catchupWindow = 32
+)
 
 // AttackMode aliases the shared attack taxonomy of the evaluation (§6.3,
 // Figure 11); see internal/protocol.

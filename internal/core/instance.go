@@ -368,7 +368,7 @@ func (in *Instance) onPropose(msg *types.Propose) {
 	if v < in.gcFloor {
 		return // below the checkpoint GC floor: nobody correct needs it
 	}
-	if v > in.view+types.View(in.r.cfg.PendingWindow) {
+	if v > in.view+pendingWindow {
 		return // flooding guard
 	}
 	d := msg.Digest()
@@ -689,7 +689,7 @@ func (in *Instance) buildCP() []types.CPEntry {
 
 func (in *Instance) onSync(from types.NodeID, msg *types.Sync) {
 	v := msg.View
-	if v > in.view+types.View(4*in.r.cfg.PendingWindow) {
+	if v > in.view+4*pendingWindow {
 		return // flooding guard: implausibly far future
 	}
 	// Υ: retransmit our view-v Sync to a replica trying to catch up (§3.4).
@@ -780,8 +780,8 @@ func (in *Instance) recordSync(from types.NodeID, msg *types.Sync) {
 // count us and retransmit what we missed.
 func (in *Instance) catchUpTo(w types.View) {
 	lo := in.view
-	if w-lo > types.View(in.r.cfg.CatchupWindow) {
-		lo = w - types.View(in.r.cfg.CatchupWindow)
+	if w-lo > catchupWindow {
+		lo = w - catchupWindow
 	}
 	for u := lo; u < w; u++ {
 		if in.vs(u).ownSync == nil {
@@ -829,6 +829,13 @@ func (in *Instance) checkTransitions() {
 				in.askFor(p, v)
 			}
 		}
+	}
+
+	// Our echo can complete view v's quorum: sendSync then resolved v and
+	// entered v+1 before returning. Nothing is left to do for v, and
+	// in.state now belongs to v+1, which view v's tallies must not move on.
+	if in.view != v {
+		return
 	}
 
 	// ST2 → ST3: n−f Sync messages of the current view.
@@ -970,7 +977,7 @@ func (in *Instance) onAsk(from types.NodeID, msg *types.Ask) {
 	// round per missing link. Serve the retained ancestor chain along with
 	// the requested proposal, bounded by the catch-up window and, against
 	// bandwidth-amplification abuse (every Ask would otherwise cost up to
-	// CatchupWindow full batches), rate-limited per requester.
+	// catchupWindow full batches), rate-limited per requester.
 	now := in.r.ctx.Now()
 	if last, ok := in.chainServeAt[from]; ok && now-last < in.r.cfg.RetransmitInterval {
 		return
@@ -979,7 +986,7 @@ func (in *Instance) onAsk(from types.NodeID, msg *types.Ask) {
 	sent := 0
 	for q := p.parent; q != nil && q.known && q.msg != nil; q = q.parent {
 		in.r.ctx.Send(from, q.msg)
-		if sent++; sent >= in.r.cfg.CatchupWindow {
+		if sent++; sent >= catchupWindow {
 			return
 		}
 	}
@@ -1330,7 +1337,12 @@ func (in *Instance) onTimer(tag protocol.TimerTag) {
 		if in.vs(tag.View).ownSync == nil {
 			in.sendSync(tag.View, types.Claim{View: tag.View, Empty: true}, false)
 		}
-		in.state = stSyncing
+		// Our claim may have completed the ∅ quorum, and sendSync then
+		// already entered v+1; that view must stay in stRecording, or its
+		// recording timer is ignored and this replica never claims in it.
+		if in.view == tag.View {
+			in.state = stSyncing
+		}
 		in.checkTransitions()
 	case protocol.TimerCertifying:
 		if tag.View != in.view || in.state != stCertifying {
@@ -1382,8 +1394,8 @@ func clampTimeout(d time.Duration, cfg Config) time.Duration {
 	if d < cfg.MinTimeout {
 		return cfg.MinTimeout
 	}
-	if d > cfg.MaxTimeout {
-		return cfg.MaxTimeout
+	if d > maxTimeout {
+		return maxTimeout
 	}
 	return d
 }

@@ -19,7 +19,7 @@ import (
 //
 // Every method runs on the owning instance's shard; implementations need no
 // locking. Durations handed back are armed verbatim by the instance, so an
-// implementation must respect Config.MinTimeout/MaxTimeout itself (the
+// implementation must respect Config.MinTimeout and maxTimeout itself (the
 // contract test suite pins this, along with the invariants the PR 3/PR 5
 // guards depend on: timers re-arm after every fire, paced proposals stay
 // inside the recording window, view entry is monotone).
@@ -72,18 +72,12 @@ func PacemakerByName(name string) (PacemakerFactory, error) {
 	return nil, fmt.Errorf("unknown pacemaker %q (have %v)", name, PacemakerArms)
 }
 
-// newPacemaker resolves the configured arm for one instance. Config errors
-// are programmer errors at this layer; the cmd binaries validate the
-// operator flag through PacemakerByName before construction.
+// newPacemaker builds the configured arm for one instance (nil: spotless).
 func (r *Replica) newPacemaker(instance int32) Pacemaker {
-	if r.cfg.PacemakerFactory != nil {
-		return r.cfg.PacemakerFactory(instance, r.cfg)
+	if r.cfg.Pacemaker != nil {
+		return r.cfg.Pacemaker(instance, r.cfg)
 	}
-	f, err := PacemakerByName(r.cfg.Pacemaker)
-	if err != nil {
-		panic(err)
-	}
-	return f(instance, r.cfg)
+	return newSpotlessPacemaker(r.cfg)
 }
 
 // idlePacing caps the configured idle backoff at half the current recording
@@ -109,7 +103,7 @@ func idlePacing(cfg Config, tR time.Duration) time.Duration {
 // spotlessPacemaker reproduces the instance's original welded-in logic
 // bit-for-bit: halve a timer when the awaited event arrives within half the
 // timeout, add ε after timeouts in consecutive views, clamp to
-// [MinTimeout, MaxTimeout].
+// [MinTimeout, maxTimeout].
 type spotlessPacemaker struct {
 	cfg    Config
 	tR, tA time.Duration
@@ -146,14 +140,14 @@ func (p *spotlessPacemaker) ViewCertified(_ types.View, waited time.Duration) {
 
 func (p *spotlessPacemaker) RecordingExpired(v types.View) {
 	if p.lastExpiredR+1 == v {
-		p.tR = clampTimeout(p.tR+p.cfg.Epsilon, p.cfg)
+		p.tR = clampTimeout(p.tR+epsilon, p.cfg)
 	}
 	p.lastExpiredR = v
 }
 
 func (p *spotlessPacemaker) CertifyExpired(v types.View) {
 	if p.lastExpiredA+1 == v {
-		p.tA = clampTimeout(p.tA+p.cfg.Epsilon, p.cfg)
+		p.tA = clampTimeout(p.tA+epsilon, p.cfg)
 	}
 	p.lastExpiredA = v
 }
@@ -205,12 +199,12 @@ func (p *relayPacemaker) ViewCertified(types.View, time.Duration) {
 
 func (p *relayPacemaker) RecordingExpired(types.View) {
 	p.failsR++
-	p.tR = clampTimeout(p.cfg.InitialRecordingTimeout+time.Duration(p.failsR)*p.cfg.Epsilon, p.cfg)
+	p.tR = clampTimeout(p.cfg.InitialRecordingTimeout+time.Duration(p.failsR)*epsilon, p.cfg)
 }
 
 func (p *relayPacemaker) CertifyExpired(types.View) {
 	p.failsA++
-	p.tA = clampTimeout(p.cfg.InitialCertifyTimeout+time.Duration(p.failsA)*p.cfg.Epsilon, p.cfg)
+	p.tA = clampTimeout(p.cfg.InitialCertifyTimeout+time.Duration(p.failsA)*epsilon, p.cfg)
 }
 
 func (p *relayPacemaker) IdleDelay(types.View) time.Duration {
@@ -224,7 +218,7 @@ func (p *relayPacemaker) Timeouts() (time.Duration, time.Duration) { return p.tR
 // ---------------------------------------------------------------------------
 
 // doublingPacemaker models the Lumiere/classic-BFT view-doubling shape
-// (PAPERS.md): every expiry doubles the timer (clamped at MaxTimeout),
+// (PAPERS.md): every expiry doubles the timer (clamped at maxTimeout),
 // any progress snaps it back to the initial value. Reaches a
 // GST-compatible timeout in O(log Δ) failed views — faster than relay
 // under long asynchrony — but over-waits after isolated glitches and

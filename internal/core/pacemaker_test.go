@@ -14,7 +14,7 @@ import (
 //
 //  1. a timeout always re-arms after firing (the view machine never goes
 //     timerless),
-//  2. the MinTimeout floor and MaxTimeout ceiling hold under any event
+//  2. the MinTimeout floor and maxTimeout ceiling hold under any event
 //     sequence,
 //  3. paced proposals never fire after the replica's own claim(∅),
 //  4. view entry is monotone.
@@ -37,29 +37,28 @@ func forEachArm(t *testing.T, cfg Config, fn func(t *testing.T, arm string, pm P
 }
 
 // TestPacemakerContractRearmAndBounds: after any expiry/progress sequence,
-// the durations an arm hands back stay inside [MinTimeout, MaxTimeout] —
+// the durations an arm hands back stay inside [MinTimeout, maxTimeout] —
 // positive, so the instance always re-arms a live timer.
 func TestPacemakerContractRearmAndBounds(t *testing.T) {
 	cfg := DefaultConfig(4, 1)
 	cfg.InitialRecordingTimeout = 40 * time.Millisecond
 	cfg.InitialCertifyTimeout = 40 * time.Millisecond
-	cfg.Epsilon = 7 * time.Millisecond
 	cfg.MinTimeout = 10 * time.Millisecond
-	cfg.MaxTimeout = 200 * time.Millisecond
 	forEachArm(t, cfg, func(t *testing.T, arm string, pm Pacemaker) {
 		check := func(v types.View, phase string) {
 			tR := pm.EnterView(v)
 			tA := pm.EnterCertify(v)
 			for name, d := range map[string]time.Duration{"tR": tR, "tA": tA} {
-				if d < cfg.MinTimeout || d > cfg.MaxTimeout {
-					t.Fatalf("%s after %s at view %d: %v outside [%v, %v]", name, phase, v, d, cfg.MinTimeout, cfg.MaxTimeout)
+				if d < cfg.MinTimeout || d > maxTimeout {
+					t.Fatalf("%s after %s at view %d: %v outside [%v, %v]", name, phase, v, d, cfg.MinTimeout, maxTimeout)
 				}
 			}
 		}
 		v := types.View(1)
-		// A long run of consecutive expiries: growth must cap at MaxTimeout
-		// and the re-arm value must stay positive throughout.
-		for i := 0; i < 100; i++ {
+		// A long run of consecutive expiries: growth must cap at maxTimeout
+		// and the re-arm value must stay positive throughout. Relay grows by
+		// ε per expiry, so reaching the cap takes maxTimeout/ε of them.
+		for i := 0; i < int(maxTimeout/epsilon)+100; i++ {
 			pm.RecordingExpired(v)
 			pm.CertifyExpired(v)
 			check(v+1, "expiry")
@@ -129,7 +128,11 @@ func TestPacemakerContractIdleDelay(t *testing.T) {
 func pacemakerTestReplica(t *testing.T, arm string, tune func(*Config)) (*Replica, *fakeContext) {
 	ctx := newFakeContext(0, 4)
 	cfg := DefaultConfig(4, 1)
-	cfg.Pacemaker = arm
+	pm, err := PacemakerByName(arm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Pacemaker = pm
 	if tune != nil {
 		tune(&cfg)
 	}

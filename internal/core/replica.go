@@ -393,7 +393,7 @@ func (r *Replica) unawaitDigest(shard int32, id types.Digest) {
 }
 
 // dwFlushTicks paces flushDigestWaiters off the dissemination pump timer:
-// 256 ticks ≈ 1.3s at the default 5ms PumpInterval.
+// 256 ticks ≈ 1.3s at the layer's 5ms pump interval.
 const dwFlushTicks = 256
 
 // flushDigestWaiters clears the waiter table and re-posts every registered

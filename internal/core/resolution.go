@@ -172,19 +172,27 @@ func (in *Instance) resolveEmpty(v types.View) {
 // can certify the triple's middle or base after its tip), so each
 // certification event re-checks all live tips; the slice stays small — one
 // entry per certified view awaiting its triple.
+//
+// A commit re-enters the instance: on a single-loop replica its delivery
+// can stabilize a checkpoint whose GC (gcToAnchor) compacts certTips, or
+// certify further tips. The walk therefore runs over a detached slice, so
+// re-entrant edits land in a fresh one that is merged back afterwards;
+// compacting the shared array under the walk used to hand it nil tips.
 func (in *Instance) maybeCommitChains() {
-	keep := in.certTips[:0]
-	for _, p := range in.certTips {
+	tips := in.certTips
+	in.certTips = nil
+	keep := tips[:0]
+	for _, p := range tips {
 		in.maybeCommitChain(p)
 		if !p.committed && p.view >= in.gcFloor {
 			keep = append(keep, p)
 		}
 	}
 	// Zero the dropped tail so committed proposals are collectable.
-	for i := len(keep); i < len(in.certTips); i++ {
-		in.certTips[i] = nil
+	for i := len(keep); i < len(tips); i++ {
+		tips[i] = nil
 	}
-	in.certTips = keep
+	in.certTips = append(keep, in.certTips...)
 }
 
 // ResolutionPhase reports the resolution phase of a view (testing).

@@ -439,7 +439,6 @@ func TestAdaptiveTimeoutEpsilonAndHalving(t *testing.T) {
 	ctx := newFakeContext(0, 4)
 	cfg := DefaultConfig(4, 1)
 	cfg.InitialRecordingTimeout = 40 * time.Millisecond
-	cfg.Epsilon = 10 * time.Millisecond
 	cfg.MinTimeout = 10 * time.Millisecond
 	r := New(ctx, cfg)
 	r.Start()
@@ -453,8 +452,8 @@ func TestAdaptiveTimeoutEpsilonAndHalving(t *testing.T) {
 			Sig: provFor(from).Sign(types.ClaimBytes(0, ec))})
 	}
 	r.HandleTimer(protocol.TimerTag{Kind: protocol.TimerRecording, Instance: 0, View: 2})
-	if tR, _ := in.pm.Timeouts(); tR != base+cfg.Epsilon {
-		t.Fatalf("consecutive timeout must add ε: got %v want %v", tR, base+cfg.Epsilon)
+	if tR, _ := in.pm.Timeouts(); tR != base+epsilon {
+		t.Fatalf("consecutive timeout must add ε: got %v want %v", tR, base+epsilon)
 	}
 	// A proposal arriving instantly (well under tR/2) halves the timeout.
 	for _, from := range []types.NodeID{1, 2, 3} {
@@ -467,6 +466,40 @@ func TestAdaptiveTimeoutEpsilonAndHalving(t *testing.T) {
 	r.HandleMessage(3, p3)
 	if tR, _ := in.pm.Timeouts(); tR != cur/2 {
 		t.Fatalf("fast arrival must halve tR: got %v want %v", tR, cur/2)
+	}
+}
+
+// TestOwnTimerClaimCompletingEmptyQuorumStillClaimsNextView: when this
+// replica's own recording-timer claim(∅) is the (n−f)-th empty claim, the
+// claim resolves view v and enters v+1 before the timer handler returns.
+// View v+1 must stay in stRecording, so its own recording timer claims ∅
+// there too; a replica parked in stSyncing without a Sync never claims
+// again, and two such replicas wedge the instance.
+func TestOwnTimerClaimCompletingEmptyQuorumStillClaimsNextView(t *testing.T) {
+	r, ctx := newTestReplica()
+	in := r.Instance(0)
+	for _, from := range []types.NodeID{1, 2} { // n−f−1 empty claims for view 1
+		ec := types.Claim{View: 1, Empty: true}
+		r.HandleMessage(from, &types.Sync{Instance: 0, View: 1, Claim: ec,
+			Sig: provFor(from).Sign(types.ClaimBytes(0, ec))})
+	}
+	r.HandleTimer(protocol.TimerTag{Kind: protocol.TimerRecording, Instance: 0, View: 1})
+	if got := in.CurrentView(); got != 2 {
+		t.Fatalf("own claim(∅) completing the quorum: view %d, want 2", got)
+	}
+	if in.state != stRecording {
+		t.Fatalf("entered view 2 in state %d, want stRecording", in.state)
+	}
+	ctx.sent = nil
+	r.HandleTimer(protocol.TimerTag{Kind: protocol.TimerRecording, Instance: 0, View: 2})
+	claimed := false
+	for _, m := range ctx.sent {
+		if s, ok := m.(*types.Sync); ok && s.View == 2 && s.Claim.Empty {
+			claimed = true
+		}
+	}
+	if !claimed || in.vs(2).ownSync == nil {
+		t.Fatal("view-2 recording timer did not claim ∅: the replica is wedged in view 2")
 	}
 }
 

@@ -399,7 +399,7 @@ func (l *Layer) backfillChunks(id types.Digest, hint types.NodeID) {
 	}
 	e := l.getOrCreateLocked(id)
 	if e.ordered || (e.batch != nil && e.cert != nil) ||
-		(e.asked && now-e.lastAsk < l.cfg.BackfillInterval) {
+		(e.asked && now-e.lastAsk < backfillInterval) {
 		l.mu.Unlock()
 		return
 	}

@@ -48,45 +48,47 @@ type Config struct {
 	// keeps the classic full-payload push.
 	CodeK int
 
-	// Window bounds this replica's own batches in flight: pulled from the
-	// batch source and disseminated but not yet delivered. The closed-loop
-	// client usually binds first; the window is the safety net that stops
-	// an unordered backlog from growing without bound. Default 64.
-	Window int
-	// PumpInterval paces the periodic source pull (and the requeue sweep).
-	// Default 5ms.
-	PumpInterval time.Duration
-	// BackfillInterval rate-limits pull requests per missing digest.
-	// Default 50ms.
-	BackfillInterval time.Duration
-	// RequeueAfter re-queues an own certified batch whose referencing
-	// proposal never delivered (a failed view dropped it). Default 1s.
-	RequeueAfter time.Duration
-	// RetainOrdered bounds delivered entries kept for peers' backfills.
-	// Default 4096 (mirrors the executor's reply cache; must cover the
-	// delivery lag of the slowest replica, which checkpoint/state transfer
-	// bounds in turn).
-	RetainOrdered int
-	// MaxUnordered bounds stored entries that are neither our own nor yet
+	// Deprecated: ignored. A layer always pulls the batch-source lane of
+	// its own replica id: with dissemination the source is partitioned per
+	// ORIGIN, not per consensus instance.
+	Lane int32
+}
+
+// Fixed layer parameters. Each was a Config field that no deployment,
+// drill or benchmark ever set to a second value.
+const (
+	// maxInFlight bounds this replica's own batches in flight: pulled from
+	// the batch source and disseminated but not yet delivered. The
+	// closed-loop client usually binds first; the window is the safety net
+	// that stops an unordered backlog from growing without bound.
+	maxInFlight = 64
+	// pumpInterval paces the periodic source pull (and the requeue sweep).
+	pumpInterval = 5 * time.Millisecond
+	// backfillInterval rate-limits pull requests per missing digest.
+	backfillInterval = 50 * time.Millisecond
+	// requeueAfter re-queues an own certified batch whose referencing
+	// proposal never delivered (a failed view dropped it).
+	requeueAfter = time.Second
+	// retainOrdered bounds delivered entries kept for peers' backfills. It
+	// mirrors the executor's reply cache and must cover the delivery lag of
+	// the slowest replica, which checkpoint/state transfer bounds in turn.
+	retainOrdered = 4096
+	// maxUnordered bounds stored entries that are neither our own nor yet
 	// delivered. Without it a single Byzantine peer could grow the store
 	// without limit — pushing valid-hash garbage batches that never commit,
 	// or certifying batches it never proposes. Oldest entries evict first;
 	// a certified entry evicted early is re-backfillable from its other
-	// holders. Default 8192.
-	MaxUnordered int
-	// RetainDelivered bounds the delivered-digest tombstones kept after an
-	// entry leaves the RetainOrdered window. Tombstones let the claim gate
+	// holders.
+	maxUnordered = 8192
+	// retainDelivered bounds the delivered-digest tombstones kept after an
+	// entry leaves the retainOrdered window. Tombstones let the claim gate
 	// refuse replayed certificates of long-delivered digests (whose
 	// payloads every correct replica may have evicted — committing one
 	// would wedge delivery on an impossible backfill) long after the
 	// payload itself is gone. Digest-sized, so the window can be much
-	// larger than the payload store. Default 65536.
-	RetainDelivered int
-	// Lane selects the batch-source stream this replica pulls. Negative
-	// (the default) selects the replica's own id: with dissemination the
-	// source is partitioned per ORIGIN, not per consensus instance.
-	Lane int32
-}
+	// larger than the payload store.
+	retainDelivered = 1 << 16
+)
 
 // entry tracks one disseminated batch.
 type entry struct {
@@ -144,7 +146,6 @@ type Layer struct {
 	cfg    Config
 	ctx    protocol.Context
 	self   types.NodeID
-	lane   int32
 	notify func(types.Digest) // fired (outside the lock) when a digest gains a cert or payload
 
 	entries map[types.Digest]*entry
@@ -152,37 +153,16 @@ type Layer struct {
 	infly   int            // own batches pulled and not yet delivered
 
 	orderedQ   []orderedRef   // FIFO of delivered entries with their delivery heights
-	unorderedQ []types.Digest // FIFO of foreign entries, for the MaxUnordered bound
+	unorderedQ []types.Digest // FIFO of foreign entries, for the maxUnordered bound
 
 	tombs map[types.Digest]struct{} // delivered digests evicted from entries
-	tombQ []types.Digest            // FIFO over tombs, for the RetainDelivered bound
+	tombQ []types.Digest            // FIFO over tombs, for the retainDelivered bound
 
 	stats Stats
 }
 
 // New creates an unbound layer.
 func New(cfg Config) *Layer {
-	if cfg.Window <= 0 {
-		cfg.Window = 64
-	}
-	if cfg.PumpInterval <= 0 {
-		cfg.PumpInterval = 5 * time.Millisecond
-	}
-	if cfg.BackfillInterval <= 0 {
-		cfg.BackfillInterval = 50 * time.Millisecond
-	}
-	if cfg.RequeueAfter <= 0 {
-		cfg.RequeueAfter = time.Second
-	}
-	if cfg.RetainOrdered <= 0 {
-		cfg.RetainOrdered = 4096
-	}
-	if cfg.MaxUnordered <= 0 {
-		cfg.MaxUnordered = 8192
-	}
-	if cfg.RetainDelivered <= 0 {
-		cfg.RetainDelivered = 1 << 16
-	}
 	if cfg.CodeK > 0 {
 		// Clamp k so any availability certificate still guarantees
 		// reconstruction: n−f acks imply ≥ n−2f correct holders of distinct
@@ -199,10 +179,10 @@ func New(cfg Config) *Layer {
 }
 
 // getOrCreateLocked returns the entry for id, creating and bounding it when
-// missing: foreign entries enter the unordered FIFO, and beyond MaxUnordered
+// missing: foreign entries enter the unordered FIFO, and beyond maxUnordered
 // the oldest stored-but-unordered foreign entries are evicted (own and
-// delivered entries are accounted by the window and RetainOrdered bounds
-// instead). Certified entries evict like any other — a crashed or Byzantine
+// delivered entries are accounted by the maxInFlight and retainOrdered
+// bounds instead). Certified entries evict like any other — a crashed or Byzantine
 // origin can certify batches it never proposes, so protecting them would
 // re-open the unbounded-store hole; an evicted certified payload is
 // re-backfillable from its remaining holders.
@@ -214,7 +194,7 @@ func (l *Layer) getOrCreateLocked(id types.Digest) *entry {
 	e = &entry{}
 	l.entries[id] = e
 	l.unorderedQ = append(l.unorderedQ, id)
-	for len(l.unorderedQ) > l.cfg.MaxUnordered {
+	for len(l.unorderedQ) > maxUnordered {
 		drop := l.unorderedQ[0]
 		l.unorderedQ = l.unorderedQ[1:]
 		if de := l.entries[drop]; de != nil && !de.mine && !de.ordered {
@@ -233,24 +213,20 @@ func (l *Layer) Bind(ctx protocol.Context, notify func(types.Digest)) {
 	defer l.mu.Unlock()
 	l.ctx = ctx
 	l.self = ctx.ID()
-	l.lane = l.cfg.Lane
-	if l.lane < 0 {
-		l.lane = int32(l.self)
-	}
 	l.notify = notify
 }
 
 // Start begins disseminating: first pull plus the periodic pump timer.
 func (l *Layer) Start() {
 	l.Pump()
-	l.ctx.SetTimer(l.cfg.PumpInterval, protocol.TimerTag{Kind: TimerKind, Instance: protocol.OrderingShard})
+	l.ctx.SetTimer(pumpInterval, protocol.TimerTag{Kind: TimerKind, Instance: protocol.OrderingShard})
 }
 
 // OnTimer handles the periodic pump/requeue tick.
 func (l *Layer) OnTimer() {
 	l.requeueLost()
 	l.Pump()
-	l.ctx.SetTimer(l.cfg.PumpInterval, protocol.TimerTag{Kind: TimerKind, Instance: protocol.OrderingShard})
+	l.ctx.SetTimer(pumpInterval, protocol.TimerTag{Kind: TimerKind, Instance: protocol.OrderingShard})
 }
 
 // Pump pulls client batches from the source (the replica's own lane) and
@@ -258,12 +234,12 @@ func (l *Layer) OnTimer() {
 func (l *Layer) Pump() {
 	for {
 		l.mu.Lock()
-		if l.infly >= l.cfg.Window {
+		if l.infly >= maxInFlight {
 			l.mu.Unlock()
 			return
 		}
 		l.mu.Unlock()
-		b := l.ctx.NextBatch(l.lane)
+		b := l.ctx.NextBatch(int32(l.self))
 		if b == nil {
 			return
 		}
@@ -576,7 +552,7 @@ func (l *Layer) Backfill(id types.Digest, hint types.NodeID) {
 	}
 	e := l.getOrCreateLocked(id)
 	if e.ordered || (e.batch != nil && e.cert != nil) ||
-		(e.asked && now-e.lastAsk < l.cfg.BackfillInterval) {
+		(e.asked && now-e.lastAsk < backfillInterval) {
 		l.mu.Unlock()
 		return
 	}
@@ -621,7 +597,7 @@ type orderedRef struct {
 // the next pull). Retention of the delivered payload is frontier-driven —
 // GCToFrontier evicts everything at or below the stable checkpoint, where
 // re-proposal and backfill are impossible by construction — with the
-// RetainOrdered count as a fallback cap for checkpoint-less deployments.
+// retainOrdered count as a fallback cap for checkpoint-less deployments.
 func (l *Layer) Delivered(id types.Digest, height uint64) {
 	l.mu.Lock()
 	e := l.entries[id]
@@ -643,7 +619,7 @@ func (l *Layer) Delivered(id types.Digest, height uint64) {
 		}
 	}
 	l.orderedQ = append(l.orderedQ, orderedRef{id: id, height: height})
-	for len(l.orderedQ) > l.cfg.RetainOrdered {
+	for len(l.orderedQ) > retainOrdered {
 		l.evictOrderedLocked()
 	}
 	l.mu.Unlock()
@@ -659,7 +635,7 @@ func (l *Layer) evictOrderedLocked() {
 	delete(l.entries, drop)
 	l.tombs[drop] = struct{}{}
 	l.tombQ = append(l.tombQ, drop)
-	for len(l.tombQ) > l.cfg.RetainDelivered {
+	for len(l.tombQ) > retainDelivered {
 		t := l.tombQ[0]
 		l.tombQ = l.tombQ[1:]
 		delete(l.tombs, t)
@@ -671,7 +647,7 @@ func (l *Layer) evictOrderedLocked() {
 // cluster-wide: no correct replica will re-propose such a digest, and
 // rejoiners recover the region via state transfer rather than backfill —
 // so holding the payloads serves no one. Eviction keyed to the frontier
-// (instead of the fixed RetainOrdered count) makes the payload store track
+// (instead of the fixed retainOrdered count) makes the payload store track
 // exactly what consensus can still reference. Called from the ordering
 // stage at every stabilization and state install.
 func (l *Layer) GCToFrontier(stable uint64) {
@@ -707,7 +683,7 @@ func (l *Layer) requeueLost() {
 	l.mu.Lock()
 	for _, e := range l.entries {
 		if e.mine && e.cert != nil && !e.ordered && !e.inReady &&
-			e.proposedAt > 0 && now-e.proposedAt > l.cfg.RequeueAfter {
+			e.proposedAt > 0 && now-e.proposedAt > requeueAfter {
 			e.inReady = true
 			e.proposedAt = 0
 			l.ready = append(l.ready, e.batch)

@@ -18,6 +18,7 @@ type fakeCtx struct {
 	sent    []types.Message
 	sends   []sendRec // point-to-point sends with their recipient
 	pending []*types.Batch
+	lanes   []int32 // batch-source lanes pulled, in order
 }
 
 type sendRec struct {
@@ -43,7 +44,8 @@ func (c *fakeCtx) VerifyAsync(protocol.VerifyJob)            {}
 func (c *fakeCtx) Crypto() crypto.Provider                   { return c.prov }
 func (c *fakeCtx) Deliver(types.Commit)                      {}
 func (c *fakeCtx) Logf(string, ...any)                       {}
-func (c *fakeCtx) NextBatch(int32) *types.Batch {
+func (c *fakeCtx) NextBatch(lane int32) *types.Batch {
+	c.lanes = append(c.lanes, lane)
 	if len(c.pending) == 0 {
 		return nil
 	}
@@ -165,7 +167,7 @@ func TestReceiverAcksValidPayloadOnly(t *testing.T) {
 // TestBackfillFirstAskAndRateLimit: the very first backfill of a digest
 // goes out immediately — even at virtual time zero, where a fresh entry's
 // zero-valued rate-limit clock used to look like a recent ask — and
-// repeats within BackfillInterval are suppressed.
+// repeats within backfillInterval are suppressed.
 func TestBackfillFirstAskAndRateLimit(t *testing.T) {
 	l, ctx, _ := newTestLayer(0)
 	id := types.Digest{7}
@@ -180,15 +182,15 @@ func TestBackfillFirstAskAndRateLimit(t *testing.T) {
 		t.Fatalf("first backfill sent %d pulls, want the hint plus the fallback window", pulls)
 	}
 	before := len(ctx.sent)
-	ctx.now = 10 * time.Millisecond // < BackfillInterval
+	ctx.now = 10 * time.Millisecond // < backfillInterval
 	l.Backfill(id, 1)
 	if len(ctx.sent) != before {
-		t.Fatal("backfill not rate-limited within BackfillInterval")
+		t.Fatal("backfill not rate-limited within backfillInterval")
 	}
 	ctx.now = 100 * time.Millisecond
 	l.Backfill(id, 1)
 	if len(ctx.sent) == before {
-		t.Fatal("backfill suppressed after BackfillInterval elapsed")
+		t.Fatal("backfill suppressed after backfillInterval elapsed")
 	}
 }
 
@@ -245,31 +247,49 @@ func TestBackfillAsksWidelyAndRotates(t *testing.T) {
 }
 
 // TestUnorderedStoreBounded: stored-but-unordered foreign entries are
-// FIFO-bounded by MaxUnordered — a Byzantine peer pushing valid-hash
+// FIFO-bounded by maxUnordered — a Byzantine peer pushing valid-hash
 // garbage that never commits cannot grow the store without limit.
 func TestUnorderedStoreBounded(t *testing.T) {
 	ctx := newFakeCtx(1)
-	l := New(Config{N: 4, F: 1, MaxUnordered: 4})
+	l := New(Config{N: 4, F: 1})
 	l.Bind(ctx, nil)
 
-	for seq := uint64(0); seq < 10; seq++ {
+	for seq := uint64(0); seq < maxUnordered+10; seq++ {
 		l.OnMessage(0, &types.BatchDigest{Origin: 0, Batch: testBatch(seq + 100)})
 	}
 	l.mu.Lock()
 	stored := len(l.entries)
 	l.mu.Unlock()
-	if stored > 4 {
-		t.Fatalf("store holds %d unordered foreign entries, want ≤ MaxUnordered = 4", stored)
+	if stored > maxUnordered {
+		t.Fatalf("store holds %d unordered foreign entries, want ≤ maxUnordered = %d", stored, maxUnordered)
+	}
+}
+
+// TestPumpPullsOwnLane: a replica disseminates what clients sent it, so
+// its layer pulls the source lane of its own id. The zero Config used to
+// pull lane 0 on every replica, starving lanes 1..n−1.
+func TestPumpPullsOwnLane(t *testing.T) {
+	ctx := newFakeCtx(2)
+	l := New(Config{N: 4, F: 1})
+	l.Bind(ctx, nil)
+	l.Pump()
+	if len(ctx.lanes) == 0 {
+		t.Fatal("Pump never pulled the batch source")
+	}
+	for _, lane := range ctx.lanes {
+		if lane != 2 {
+			t.Fatalf("replica 2 pulled lane %d, want its own lane 2", lane)
+		}
 	}
 }
 
 // TestDeliveredTombstoneRefusesResurrection: once a delivered entry leaves
-// the retention window, a replayed certificate or push must not re-create
+// the payload store, a replayed certificate or push must not re-create
 // it — the digest stays Ordered (so the claim gate refuses it) and is
 // neither re-certified, re-stored, nor re-acked.
 func TestDeliveredTombstoneRefusesResurrection(t *testing.T) {
 	ctx := newFakeCtx(1)
-	l := New(Config{N: 4, F: 1, RetainOrdered: 1})
+	l := New(Config{N: 4, F: 1})
 	l.Bind(ctx, nil)
 
 	old, fresh := testBatch(201), testBatch(202)
@@ -278,12 +298,13 @@ func TestDeliveredTombstoneRefusesResurrection(t *testing.T) {
 			ackFrom(1, b.ID).Sig, ackFrom(2, b.ID).Sig, ackFrom(3, b.ID).Sig,
 		}
 	}
-	for _, b := range []*types.Batch{old, fresh} {
+	for h, b := range []*types.Batch{old, fresh} {
 		l.OnMessage(0, &types.BatchDigest{Origin: 0, Batch: b})
 		l.OnMessage(0, &types.BatchCert{BatchID: b.ID, Sigs: ack(b)})
-		l.Delivered(b.ID, 1)
+		l.Delivered(b.ID, uint64(h+1))
 	}
-	// RetainOrdered=1: delivering fresh evicted old into a tombstone.
+	// A stable checkpoint at height 1 evicts old into a tombstone.
+	l.GCToFrontier(1)
 	if l.Payload(old.ID) != nil {
 		t.Fatal("evicted payload still stored")
 	}

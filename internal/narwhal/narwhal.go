@@ -8,7 +8,6 @@
 package narwhal
 
 import (
-	"fmt"
 	"time"
 
 	"spotless/internal/crypto"
@@ -357,19 +356,4 @@ func (r *Replica) flushAwaiting(id types.Digest) {
 		r.ctx.Deliver(types.Commit{View: c.View, Batch: st.batch, Proposal: id})
 		r.creditOrigin(st)
 	}
-}
-
-// DebugString summarizes internal progress for calibration probes.
-func (r *Replica) DebugString() string {
-	certified, mineCert := 0, 0
-	for _, st := range r.batches {
-		if st.certified {
-			certified++
-			if st.mine || st.proposedAt > 0 {
-				mineCert++
-			}
-		}
-	}
-	return fmt.Sprintf("view=%d hsDelivered=%d batches=%d certified=%d pendingRefs=%d inflight=%d delivered=%d",
-		r.hs.View(), r.hs.Delivered, len(r.batches), certified, len(r.pendingRefs), r.inflight, r.Delivered)
 }

@@ -13,7 +13,6 @@ package pbft
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"time"
 
 	"spotless/internal/protocol"
@@ -395,14 +394,4 @@ func noopBatch(instance int32, pview types.View, seq uint64) *types.Batch {
 	binary.LittleEndian.PutUint64(buf[4:], uint64(pview))
 	binary.LittleEndian.PutUint64(buf[12:], seq)
 	return &types.Batch{ID: sha256.Sum256(buf[:]), NoOp: true}
-}
-
-// DebugString summarizes replica state (calibration probes).
-func (r *Replica) DebugString() string {
-	out := fmt.Sprintf("pview=%d lw=%d head=%d slots=%d", r.pview, r.lowWater, r.seqHead, len(r.slots))
-	if s, ok := r.slots[r.lowWater]; ok {
-		out += fmt.Sprintf(" slot%d{batch=%v prep=%d com=%d committed=%v}",
-			r.lowWater, s.batch != nil, len(s.prepares), len(s.commits), s.committed)
-	}
-	return out
 }

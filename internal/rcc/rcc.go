@@ -8,7 +8,6 @@
 package rcc
 
 import (
-	"fmt"
 	"time"
 
 	"spotless/internal/pbft"
@@ -282,32 +281,4 @@ func (r *Replica) drain() {
 		r.Delivered++
 		r.ctx.Deliver(types.Commit{Instance: int32(best), View: types.View(q.seq), Batch: q.batch, Proposal: q.digest})
 	}
-}
-
-// DebugString summarizes instance progress (calibration probes).
-func (r *Replica) DebugString() string {
-	suspended, minLW, maxLW, qsum := 0, ^uint64(0), uint64(0), 0
-	for _, is := range r.inst {
-		if is.suspended {
-			suspended++
-		}
-		lw := is.pb.LowWater()
-		if lw < minLW {
-			minLW = lw
-		}
-		if lw > maxLW {
-			maxLW = lw
-		}
-		qsum += len(is.queue)
-	}
-	// Include the slowest instance's pbft state.
-	slow := 0
-	for i, is := range r.inst {
-		if is.pb.LowWater() == minLW {
-			slow = i
-			break
-		}
-	}
-	return fmt.Sprintf("delivered=%d suspended=%d lw=[%d..%d] queued=%d slow=inst%d{%s}",
-		r.Delivered, suspended, minLW, maxLW, qsum, slow, r.inst[slow].pb.DebugString())
 }

@@ -9,7 +9,6 @@ import (
 
 	"spotless/internal/core"
 	"spotless/internal/crypto"
-	"spotless/internal/dissem"
 	"spotless/internal/ledger"
 	"spotless/internal/types"
 	"spotless/internal/wal"
@@ -540,7 +539,6 @@ type ClusterConfig struct {
 	N, Instances int
 	Source       BatchSource // shared (wrapped in SafeSource)
 	Records      uint64      // YCSB table size (default 10k for fast startup)
-	Secret       []byte
 	// CheckpointInterval is the checkpoint/GC/state-transfer interval in
 	// delivered batches (core.Config.CheckpointInterval). 0 selects the
 	// production default of 64; negative disables checkpointing.
@@ -558,20 +556,6 @@ type ClusterConfig struct {
 	// 1-core hosts), and workers beyond m idle. Negative (or 1) pins the
 	// single event loop explicitly.
 	InstanceWorkers int
-	// Pacemaker selects the view-synchronizer arm every replica runs
-	// ("" = spotless; see core.PacemakerArms). Validated through
-	// core.PacemakerByName so a typo'd arm fails construction instead of
-	// panicking inside the first replica's event loop.
-	Pacemaker string
-	// Dissem enables digest ordering: each replica gets a fresh
-	// internal/dissem layer pulling its own source lane (lane = replica id,
-	// so Source must carry one stream per REPLICA, not per instance), and
-	// consensus carries digest references instead of payloads.
-	Dissem bool
-	// DissemCode selects erasure-coded dissemination (dissem.Config.CodeK):
-	// origins push one coded chunk per peer instead of the full payload.
-	// 0 keeps the full push; requires Dissem.
-	DissemCode int
 	// DataDir enables durable WAL-backed ledgers: replica i keeps its
 	// segments and checkpoint manifest under DataDir/r<i>. Kill abandons the
 	// store without a final sync (the kill-9 model) and Restart replays it
@@ -580,15 +564,16 @@ type ClusterConfig struct {
 	DataDir string
 	// Fsync selects the WAL durability policy (default per-commit).
 	Fsync wal.FsyncPolicy
-	// FS overrides the WAL filesystem. Tests inject wal.MemFS for
-	// deterministic power-cut semantics (Crash drops unsynced bytes); nil
-	// uses the OS filesystem.
-	FS wal.FS
-	// FSFor overrides FS per replica. MemFS fault knobs (FailSyncs, FlipBit,
-	// Crash, ...) are filesystem-global, so a drill that injects faults into
-	// one replica's disk without touching the others needs one MemFS per
-	// replica. Takes precedence over FS when non-nil.
-	FSFor  func(i int) wal.FS
+	// FSFor returns replica i's WAL filesystem; nil (or a nil result) uses
+	// the OS filesystem. Tests inject wal.MemFS for deterministic power-cut
+	// semantics (Crash drops unsynced bytes) — one shared MemFS, or one per
+	// replica when a drill injects faults (FailSyncs, FlipBit, ...) into one
+	// replica's disk without touching the others.
+	FSFor func(i int) wal.FS
+	// Tune adjusts replica i's consensus configuration just before
+	// construction: a pacemaker arm, digest ordering (a fresh dissem.Layer
+	// per replica; Source then carries one lane per replica id), or host
+	// decorators.
 	Tune   func(i int, cfg *core.Config)
 	OnDone func(types.Digest)
 }
@@ -620,14 +605,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Records == 0 {
 		cfg.Records = 10000
 	}
-	if cfg.Secret == nil {
-		cfg.Secret = []byte("spotless-cluster-secret")
-	}
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = 64
-	}
-	if _, err := core.PacemakerByName(cfg.Pacemaker); err != nil {
-		return nil, fmt.Errorf("runtime: %v", err)
 	}
 	n, f := cfg.N, (cfg.N-1)/3
 	clientID := types.ClientIDBase
@@ -636,7 +615,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		ids = append(ids, types.NodeID(i))
 	}
 	ids = append(ids, clientID)
-	ring := crypto.NewKeyring(cfg.Secret, ids)
+	ring := crypto.NewKeyring([]byte("spotless-cluster-secret"), ids)
 
 	trans := NewLocalTransport()
 	cl := &Cluster{N: n, F: f, M: cfg.Instances, Transport: trans, ClientID: clientID,
@@ -779,7 +758,7 @@ func (c *Cluster) buildReplica(i int) error {
 	var snapData []byte
 	if c.cfg.DataDir != "" {
 		dir := filepath.Join(c.cfg.DataDir, fmt.Sprintf("r%d", i))
-		fsys := c.cfg.FS
+		var fsys wal.FS
 		if c.cfg.FSFor != nil {
 			fsys = c.cfg.FSFor(i)
 		}
@@ -802,13 +781,9 @@ func (c *Cluster) buildReplica(i int) error {
 	ccfg.InitialCertifyTimeout = 100 * time.Millisecond
 	ccfg.MinTimeout = 10 * time.Millisecond
 	ccfg.IdleBackoff = c.cfg.IdleBackoff
-	ccfg.Pacemaker = c.cfg.Pacemaker
 	if c.cfg.CheckpointInterval > 0 {
 		ccfg.CheckpointInterval = c.cfg.CheckpointInterval
 		ccfg.Host = exec
-	}
-	if c.cfg.Dissem {
-		ccfg.Dissem = dissem.New(dissem.Config{N: c.N, F: c.F, CodeK: c.cfg.DissemCode})
 	}
 	if c.cfg.Tune != nil {
 		c.cfg.Tune(i, &ccfg)

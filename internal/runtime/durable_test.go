@@ -42,7 +42,7 @@ func TestClusterPowerCutDurableRejoin(t *testing.T) {
 	cl, err := runtime.NewCluster(runtime.ClusterConfig{
 		N: 4, Instances: 1, Source: src,
 		CheckpointInterval: 4,
-		DataDir:            "drill", FS: fsys,
+		DataDir:            "drill", FSFor: func(int) wal.FS { return fsys },
 		OnDone: func(types.Digest) { done <- struct{}{} },
 	})
 	if err != nil {
@@ -179,7 +179,7 @@ func TestClusterRestartRestoresAttestedTable(t *testing.T) {
 	cl, err := runtime.NewCluster(runtime.ClusterConfig{
 		N: 4, Instances: 1, Source: src, Records: 512,
 		CheckpointInterval: 4,
-		DataDir:            "snapdrill", FS: fsys,
+		DataDir:            "snapdrill", FSFor: func(int) wal.FS { return fsys },
 		OnDone: func(types.Digest) { done <- struct{}{} },
 	})
 	if err != nil {
@@ -353,7 +353,7 @@ func TestClusterFullPowerCutRestart(t *testing.T) {
 	cfg := runtime.ClusterConfig{
 		N: 4, Instances: 1, Source: src,
 		CheckpointInterval: 4,
-		DataDir:            "cluster", FS: fsys,
+		DataDir:            "cluster", FSFor: func(int) wal.FS { return fsys },
 		OnDone: func(types.Digest) { done <- struct{}{} },
 	}
 	cl1, err := runtime.NewCluster(cfg)

@@ -67,7 +67,7 @@ func TestIdleBackoffPacesNoopViews(t *testing.T) {
 	cl, err := runtime.NewCluster(runtime.ClusterConfig{
 		N: 4, Instances: 1, IdleBackoff: backoff, // no Source: permanently idle
 		Tune: func(_ int, cfg *core.Config) {
-			cfg.PacemakerFactory = func(int32, core.Config) core.Pacemaker {
+			cfg.Pacemaker = func(int32, core.Config) core.Pacemaker {
 				return &probePacemaker{backoff: backoff, paces: &paces}
 			}
 		},
