@@ -21,15 +21,14 @@ import (
 	"time"
 
 	"spotless/internal/bench"
+	"spotless/internal/core"
 )
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list available experiments and exit")
-		run        = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
-		quick      = flag.Bool("quick", false, "CI-sized sweeps (n ≤ 32) instead of paper scale (n = 128)")
-		baseline   = flag.String("baseline", "", "write the perf baseline (instance-parallel + dissemination sweeps, core-loop allocs) as JSON to this file and exit")
-		trajectory = flag.String("trajectory", "", "re-run the digest-ordering sweep and exit non-zero if ktxn/s regressed >20% against this committed baseline JSON")
+		list  = flag.Bool("list", false, "list available experiments and exit")
+		run   = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
+		quick = flag.Bool("quick", false, "CI-sized sweeps (n ≤ 32) instead of paper scale (n = 128)")
 
 		safetyDrill  = flag.Int("safety-drill", 0, "run the seeded adversary safety drill over this many seeds (n=4, m=4; ledger diff with a block-level dump on divergence) and exit non-zero on any fork")
 		safetySeed   = flag.Int64("safety-seed-base", 1, "first adversary seed of the -safety-drill sweep")
@@ -140,6 +139,10 @@ func main() {
 	}
 
 	if *safetyDrill > 0 {
+		if _, err := core.PacemakerByName(*safetyPace); err != nil {
+			fmt.Fprintf(os.Stderr, "safety-drill: %v\n", err)
+			os.Exit(2)
+		}
 		start := time.Now()
 		res := bench.RunSafetyDrill(bench.SafetyDrillOptions{
 			Seeds: *safetyDrill, SeedBase: *safetySeed, Legacy: *safetyOld,
@@ -161,39 +164,6 @@ func main() {
 		for _, f := range bench.Figures {
 			fmt.Printf("%-8s %s\n", f.ID, f.Title)
 		}
-		return
-	}
-
-	if *baseline != "" {
-		start := time.Now()
-		rep, err := bench.CollectBaseline()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "baseline collection failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rep.WriteFile(*baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *baseline, err)
-			os.Exit(1)
-		}
-		fmt.Printf("baseline written to %s (%d sim + %d runtime + %d dissemination points, core loop %.0f allocs/op, %s)\n",
-			*baseline, len(rep.SimInstanceParallel), len(rep.RuntimeInstanceParallel),
-			len(rep.Dissemination), rep.CoreLoop.AllocsPerOp, time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	if *trajectory != "" {
-		start := time.Now()
-		rep, err := bench.ReadBaselineFile(*trajectory)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reading %s: %v\n", *trajectory, err)
-			os.Exit(1)
-		}
-		if err := bench.CheckTrajectory(rep); err != nil {
-			fmt.Fprintf(os.Stderr, "TRAJECTORY CHECK FAILED against %s:\n%v\n", *trajectory, err)
-			os.Exit(1)
-		}
-		fmt.Printf("trajectory ok: digest ordering within %.0f%% of %s (%s)\n",
-			bench.TrajectoryTolerance*100, *trajectory, time.Since(start).Round(time.Millisecond))
 		return
 	}
 

@@ -10,38 +10,9 @@ import "time"
 // while the inline arm degrades — consensus messages queue behind payload
 // bytes, timers fire, and view progress collapses.
 
-// DissemPoint is one batch-size point of the sweep: the same workload run
-// through both ordering modes.
-type DissemPoint struct {
-	BatchSize int
-	Inline    Result
-	Digest    Result
-}
-
-// DissemSweepSizes is the default sweep: the paper's 100-txn batch, then
-// 10x and 100x.
-var DissemSweepSizes = []int{100, 1000, 10000}
-
-// DissemSweep runs the digest-vs-inline comparison at the given batch
-// sizes (nil selects DissemSweepSizes) on the calibrated 4-replica LAN
-// model.
-func DissemSweep(sizes []int) []DissemPoint {
-	if sizes == nil {
-		sizes = DissemSweepSizes
-	}
-	out := make([]DissemPoint, 0, len(sizes))
-	for _, bs := range sizes {
-		out = append(out, DissemPoint{
-			BatchSize: bs,
-			Inline:    Run(dissemOpts(bs, false)),
-			Digest:    Run(dissemOpts(bs, true)),
-		})
-	}
-	return out
-}
-
-// dissemOpts is the sweep's shared configuration: both arms run the exact
-// same cluster and load shape, only the ordering mode differs.
+// dissemOpts is the experiment's shared configuration on the calibrated
+// 4-replica LAN model: both arms run the exact same cluster and load shape,
+// only the ordering mode differs.
 //
 //   - TuneBatchSize pins the timer auto-tuning at the 100-txn baseline:
 //     the cluster was tuned once, then the workload's payloads grew. The

@@ -22,15 +22,3 @@ func TestDissemCommits(t *testing.T) {
 		t.Fatalf("implausible latency tails: p50=%v p99=%v", res.P50Latency, res.P99Latency)
 	}
 }
-
-// BenchmarkDissem is the CI smoke handle (1 iteration in CI): one digest
-// ordering point at the paper's batch size.
-func BenchmarkDissem(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := Run(dissemOpts(100, true))
-		if res.Batches == 0 {
-			b.Fatal("no batches committed")
-		}
-		b.ReportMetric(res.Throughput/1000, "ktxn/s")
-	}
-}

@@ -161,7 +161,8 @@ func RunRuntime(o RuntimeOptions) (Result, error) {
 	}
 	// Adaptive default: one worker per instance, bounded by the host's
 	// cores — extra shard goroutines on a smaller host only add scheduler
-	// pressure (the BENCH_PR4 loopback regression shape).
+	// pressure (m=8 on a 1-core host fell from 16.7 ktxn/s with 1 worker to
+	// 12.5 with 8).
 	o.InstanceWorkers = runtime.AutoWorkers(o.InstanceWorkers, o.Instances)
 	if o.BatchSize == 0 {
 		o.BatchSize = 10

@@ -552,9 +552,9 @@ type ClusterConfig struct {
 	// that many event-loop goroutines behind a serialized ordering stage
 	// (runtime.NodeConfig.Workers). 0 sizes adaptively to
 	// min(m, GOMAXPROCS): sharding goroutines beyond the host's cores only
-	// adds scheduler pressure (the BENCH_PR4 loopback regression shape on
-	// 1-core hosts), and workers beyond m idle. Negative (or 1) pins the
-	// single event loop explicitly.
+	// adds scheduler pressure (m=8 over TCP loopback on a 1-core host fell
+	// from 16.7 ktxn/s with 1 worker to 12.5 with 8), and workers beyond m
+	// idle. Negative (or 1) pins the single event loop explicitly.
 	InstanceWorkers int
 	// DataDir enables durable WAL-backed ledgers: replica i keeps its
 	// segments and checkpoint manifest under DataDir/r<i>. Kill abandons the
