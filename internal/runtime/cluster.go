@@ -35,18 +35,17 @@ type ReplicaExecutor struct {
 	// from the stable cut instead of rejoining as an amnesiac.
 	durable *wal.Store
 
-	// pendingSnaps holds execution snapshots captured at checkpoint cuts
-	// (StateDigest time, when the table content is exactly the attested
-	// prefix) awaiting stabilization; PersistCheckpoint promotes the winning
-	// cut to stableSnap and drops the rest. Bounded: cuts that never
-	// stabilize are evicted oldest-first. All access is on the ordering
-	// stage, like every other StateHost path.
-	pendingSnaps map[uint64][]byte
-	// stableSnap is the snapshot at the stable checkpoint — served inside
-	// StateChunk replies (memory-only replicas serve it too) and persisted
-	// through the WAL on durable ones.
-	stableSnap       []byte
-	stableSnapHeight uint64
+	// pendingSnaps holds the table frozen at checkpoint cuts (StateDigest
+	// time, when the table content is exactly the attested prefix) awaiting
+	// stabilization; PersistCheckpoint promotes the winning cut to stable and
+	// drops the rest. Bounded: cuts that never stabilize are evicted
+	// oldest-first. All access is on the ordering stage, like every other
+	// StateHost path.
+	pendingSnaps map[uint64]*cutSnapshot
+	// stable is the snapshot at the stable checkpoint (nil before the first
+	// cut) — served inside StateChunk replies (memory-only replicas serve it
+	// too) and persisted through the WAL on durable ones.
+	stable *cutSnapshot
 
 	// Reply cache (§5): clients retransmit unanswered requests, but a batch
 	// that already executed is deduplicated at delivery and never executes
@@ -86,10 +85,30 @@ func (e *ReplicaExecutor) Reply(id types.Digest) (types.Digest, bool) {
 // maxPendingSnaps bounds snapshots held for cuts that have not stabilized.
 const maxPendingSnaps = 4
 
+// cutSnapshot is the execution snapshot at one checkpoint cut. The table is
+// held frozen and encoded at most once, when the bytes are first needed: the
+// WAL write on a durable replica, or the first state-transfer serve. A
+// memory-only replica that never serves a rejoiner never encodes.
+type cutSnapshot struct {
+	height   uint64
+	execHash types.Digest
+	table    *ycsb.Frozen // nil once encoded
+	data     []byte       // the envelope, once encoded
+}
+
+// bytes returns the snapshot envelope, encoding it on first use.
+func (c *cutSnapshot) bytes() []byte {
+	if c.data == nil {
+		c.data = c.table.Encode(c.height, c.execHash)
+		c.table = nil
+	}
+	return c.data
+}
+
 // NewReplicaExecutor creates an executor for a replica.
 func NewReplicaExecutor(id types.NodeID, store *ycsb.Store, lg *ledger.Ledger, trans Transport, client types.NodeID) *ReplicaExecutor {
 	return &ReplicaExecutor{id: id, store: store, ledger: lg, trans: trans, client: client,
-		replies: make(map[types.Digest]types.Digest), pendingSnaps: make(map[uint64][]byte)}
+		replies: make(map[types.Digest]types.Digest), pendingSnaps: make(map[uint64]*cutSnapshot)}
 }
 
 // Execute implements Executor.
@@ -151,7 +170,8 @@ func (e *ReplicaExecutor) Store() *ycsb.Store { return e.store }
 // height when the checkpoint is cut — which is also why the execution
 // snapshot is captured here, not at stabilization: at this instant the table
 // is exactly the attested prefix, while by the time the certificate
-// assembles the table has moved on.
+// assembles the table has moved on. Capturing freezes the table (a copy of
+// its slice headers); encoding waits until the bytes are needed.
 func (e *ReplicaExecutor) StateDigest(height uint64, execHash types.Digest) types.Digest {
 	if height == 0 {
 		return types.Digest{}
@@ -165,7 +185,7 @@ func (e *ReplicaExecutor) StateDigest(height uint64, execHash types.Digest) type
 		}
 		delete(e.pendingSnaps, lowest)
 	}
-	e.pendingSnaps[height] = e.store.Snapshot(height, execHash)
+	e.pendingSnaps[height] = &cutSnapshot{height: height, execHash: execHash, table: e.store.Freeze()}
 	if b, ok := e.ledger.Block(height - 1); ok {
 		return b.Hash
 	}
@@ -196,16 +216,16 @@ func (e *ReplicaExecutor) BlockHash(height uint64) (types.Digest, bool) {
 
 // PersistCheckpoint implements core.StateHost: record the stable
 // certificate and its state-hash preimage in the WAL manifest so a restart
-// resumes from this cut, then promote and persist the execution snapshot
-// captured at that cut. Manifest strictly first: recovery must never find a
-// snapshot the manifest cannot vouch for (the crash window leaves a stale
-// or missing snapshot, which recovery treats as a forward-replay fallback).
-// Memory-only replicas still promote the snapshot so they can serve it in
-// state-transfer chunks.
+// resumes from this cut, then promote the execution snapshot captured at
+// that cut and, on durable replicas, encode and persist it. Manifest
+// strictly first: recovery must never find a snapshot the manifest cannot
+// vouch for (the crash window leaves a stale or missing snapshot, which
+// recovery treats as a forward-replay fallback). Memory-only replicas still
+// promote the snapshot so they can serve it in state-transfer chunks.
 func (e *ReplicaExecutor) PersistCheckpoint(cert types.CheckpointCert, execHash, resume types.Digest, anchors []types.Anchor) {
 	h := cert.Height
-	if data, ok := e.pendingSnaps[h]; ok {
-		e.stableSnap, e.stableSnapHeight = data, h
+	if snap, ok := e.pendingSnaps[h]; ok {
+		e.stable = snap
 	}
 	for ph := range e.pendingSnaps {
 		if ph <= h {
@@ -214,8 +234,8 @@ func (e *ReplicaExecutor) PersistCheckpoint(cert types.CheckpointCert, execHash,
 	}
 	if e.durable != nil {
 		_ = e.durable.SetCheckpoint(cert, execHash, resume, anchors)
-		if e.stableSnapHeight == h && e.stableSnap != nil {
-			_ = e.durable.SaveSnapshot(h, e.stableSnap)
+		if e.stable != nil && e.stable.height == h {
+			_ = e.durable.SaveSnapshot(h, e.stable.bytes())
 		}
 	}
 }
@@ -224,17 +244,20 @@ func (e *ReplicaExecutor) PersistCheckpoint(cert types.CheckpointCert, execHash,
 // stable checkpoint, served inside StateChunk replies so a far-behind
 // rejoiner installs the attested table instead of replaying from genesis.
 func (e *ReplicaExecutor) StateSnapshot(height uint64) []byte {
-	if e.stableSnapHeight == height {
-		return e.stableSnap
+	if e.stable != nil && e.stable.height == height {
+		return e.stable.bytes()
 	}
 	return nil
 }
 
 // StableSnapshot returns the stable-checkpoint snapshot the executor
-// retains and its anchor height (0, nil before the first cut). Read-only
-// harness accessor — call only while the replica's event loop is stopped.
+// retains and its anchor height (0, nil before the first cut). Harness
+// accessor — call only while the replica's event loop is stopped.
 func (e *ReplicaExecutor) StableSnapshot() (uint64, []byte) {
-	return e.stableSnapHeight, e.stableSnap
+	if e.stable == nil {
+		return 0, nil
+	}
+	return e.stable.height, e.stable.bytes()
 }
 
 // chainHashAt returns lg's chain hash at the given height: the hash the
@@ -424,11 +447,10 @@ func (e *ReplicaExecutor) adoptSnapshot(chunk *types.StateChunk, snap *ycsb.Tabl
 		return
 	}
 	e.store.Restore(snap)
-	e.stableSnap = append([]byte(nil), chunk.Snapshot...)
-	e.stableSnapHeight = chunk.Cert.Height
+	e.stable = &cutSnapshot{height: chunk.Cert.Height, data: append([]byte(nil), chunk.Snapshot...)}
 	if e.durable != nil {
 		_ = e.durable.SetCheckpoint(chunk.Cert, chunk.ExecHash, chunk.LedgerResume, chunk.Anchors)
-		_ = e.durable.SaveSnapshot(chunk.Cert.Height, e.stableSnap)
+		_ = e.durable.SaveSnapshot(chunk.Cert.Height, e.stable.data)
 		e.durable.NoteSnapshotRestored(len(chunk.Snapshot))
 	}
 }
@@ -725,8 +747,7 @@ func ApplyResume(res *core.ResumeState, snapData []byte, cfg *core.Config, prov 
 			exec.delivered = res.Cert.Height
 			if snap != nil {
 				exec.store.Restore(snap)
-				exec.stableSnap = append([]byte(nil), snapData...)
-				exec.stableSnapHeight = snap.Height
+				exec.stable = &cutSnapshot{height: snap.Height, data: append([]byte(nil), snapData...)}
 				if exec.durable != nil {
 					exec.durable.NoteSnapshotRestored(len(snapData))
 				}

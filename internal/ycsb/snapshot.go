@@ -59,37 +59,100 @@ type TableSnapshot struct {
 	Records  map[uint64][]byte
 }
 
+// Frozen is the table at one instant, kept for encoding later: a copy of the
+// record slice headers plus the applied counter. Values are shared with the
+// live table, which replaces a value on every write and never modifies one
+// in place, so the copy stays exact while execution moves on. Freezing costs
+// O(n) header copies and no encoding.
+type Frozen struct {
+	applied    uint64
+	dense      [][]byte // dense[k] is key k's value; nil = absent
+	sparseKeys []uint64 // strictly ascending, each ≥ len(dense)
+	sparseVals [][]byte
+}
+
+// Freeze captures the current table. The caller takes it at the checkpoint
+// cut — on the ordering stage, where the table reflects exactly the first
+// height globally delivered batches — and calls Encode only once the bytes
+// are needed (the WAL write, or a state-transfer serve).
+func (s *Store) Freeze() *Frozen {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	f := s.frozenLocked()
+	f.dense = append([][]byte(nil), s.dense...)
+	return f
+}
+
+// frozenLocked returns the table in key order without copying the dense
+// slice. Callers hold s.mu and either copy it (Freeze) or are done with it
+// before they release the lock (Snapshot).
+func (s *Store) frozenLocked() *Frozen {
+	keys, vals := sortedRecords(s.sparse)
+	return &Frozen{applied: s.applied, dense: s.dense, sparseKeys: keys, sparseVals: vals}
+}
+
+// sortedRecords lists a record map in ascending key order.
+func sortedRecords(m map[uint64][]byte) ([]uint64, [][]byte) {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	vals := make([][]byte, len(keys))
+	for i, k := range keys {
+		vals[i] = m[k]
+	}
+	return keys, vals
+}
+
 // Snapshot encodes the current table into a snapshot envelope bound to
-// (height, execHash). The caller captures it at the checkpoint cut — on the
-// ordering stage, where the table reflects exactly the first height globally
-// delivered batches — and hands it to the WAL (or a state-transfer chunk)
-// unchanged. Encoding is deterministic: records are emitted in ascending key
-// order, so correct replicas capturing the same cut produce identical bytes.
+// (height, execHash): Freeze and Encode in one step, without the copy.
+// Encoding is deterministic: records are emitted in ascending key order, so
+// correct replicas capturing the same cut produce identical bytes.
 func (s *Store) Snapshot(height uint64, execHash types.Digest) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := make([]uint64, 0, len(s.records))
-	size := snapMinSize
-	for k, v := range s.records {
-		keys = append(keys, k)
+	return s.frozenLocked().Encode(height, execHash)
+}
+
+// Encode emits the snapshot envelope of the frozen table bound to (height,
+// execHash). It is the one encoder behind Store.Snapshot and
+// TableSnapshot.Encode: dense keys come out by index and the sparse keys,
+// all above them, in sorted order, so records ascend without a sort.
+func (f *Frozen) Encode(height uint64, execHash types.Digest) []byte {
+	count, size := len(f.sparseKeys), snapMinSize
+	for _, v := range f.dense {
+		if v != nil {
+			count++
+			size += 8 + 4 + len(v)
+		}
+	}
+	for _, v := range f.sparseVals {
 		size += 8 + 4 + len(v)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
 	out := make([]byte, 0, size)
 	out = append(out, snapMagic...)
 	out = binary.LittleEndian.AppendUint32(out, snapVersion)
 	out = binary.LittleEndian.AppendUint64(out, height)
 	out = append(out, execHash[:]...)
-	out = binary.LittleEndian.AppendUint64(out, s.applied)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(keys)))
-	for _, k := range keys {
-		v := s.records[k]
-		out = binary.LittleEndian.AppendUint64(out, k)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(v)))
-		out = append(out, v...)
+	out = binary.LittleEndian.AppendUint64(out, f.applied)
+	out = binary.LittleEndian.AppendUint64(out, uint64(count))
+	for k, v := range f.dense {
+		if v != nil {
+			out = appendRecord(out, uint64(k), v)
+		}
+	}
+	for i, k := range f.sparseKeys {
+		out = appendRecord(out, k, f.sparseVals[i])
 	}
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, snapCRC))
+}
+
+func appendRecord(out []byte, key uint64, v []byte) []byte {
+	out = binary.LittleEndian.AppendUint64(out, key)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(v)))
+	return append(out, v...)
 }
 
 // DecodeSnapshot validates a snapshot envelope end to end — magic, version,
@@ -152,23 +215,26 @@ func DecodeSnapshot(data []byte) (*TableSnapshot, error) {
 // blob DecodeSnapshot accepts, snap.Encode() reproduces it byte-for-byte
 // (the decode/re-encode identity FuzzSnapshotDecode checks).
 func (t *TableSnapshot) Encode() []byte {
-	tmp := &Store{records: t.Records, applied: t.Applied}
-	return tmp.Snapshot(t.Height, t.ExecHash)
+	keys, vals := sortedRecords(t.Records)
+	f := &Frozen{applied: t.Applied, sparseKeys: keys, sparseVals: vals}
+	return f.Encode(t.Height, t.ExecHash)
 }
 
 // Restore replaces the table with a decoded snapshot: the records become the
 // table content and the executed-transaction counter rewinds to the cut.
-// Callers must have verified the snapshot's (Height, ExecHash) binding
-// against the attested checkpoint first — Restore itself trusts its input.
+// The table keeps the dense range it was built with; keys the snapshot does
+// not name are absent afterwards. Callers must have verified the snapshot's
+// (Height, ExecHash) binding against the attested checkpoint first — Restore
+// itself trusts its input.
 func (s *Store) Restore(t *TableSnapshot) {
-	records := make(map[uint64][]byte, len(t.Records))
-	for k, v := range t.Records {
-		records[k] = v
-	}
 	s.mu.Lock()
-	s.records = records
+	defer s.mu.Unlock()
+	s.dense = make([][]byte, len(s.dense))
+	s.sparse = nil
+	for k, v := range t.Records {
+		s.put(k, v)
+	}
 	s.applied = t.Applied
-	s.mu.Unlock()
 }
 
 // Fingerprint hashes the table content deterministically (sorted keys,
@@ -188,8 +254,13 @@ func (s *Store) Fingerprint() types.Digest {
 func (s *Store) Dump() map[uint64][]byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[uint64][]byte, len(s.records))
-	for k, v := range s.records {
+	out := make(map[uint64][]byte, len(s.dense)+len(s.sparse))
+	for k, v := range s.dense {
+		if v != nil {
+			out[uint64(k)] = append([]byte(nil), v...)
+		}
+	}
+	for k, v := range s.sparse {
 		out[k] = append([]byte(nil), v...)
 	}
 	return out

@@ -3,21 +3,44 @@ package ycsb
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"sort"
 	"testing"
 
 	"spotless/internal/types"
 )
 
-// populated builds a store with a spread of applied writes so snapshots have
-// real content to round-trip.
+// writeBatch builds one batch that writes each key in turn, with values that
+// differ per position (and in length).
+func writeBatch(keys ...uint64) *types.Batch {
+	txns := make([]types.Transaction, len(keys))
+	for i, k := range keys {
+		txns[i] = types.Transaction{Op: types.OpWrite, Client: types.ClientIDBase, Seq: uint64(i + 1),
+			Key: k, Value: []byte(fmt.Sprintf("v%d", i))}
+	}
+	b := &types.Batch{Txns: txns}
+	b.ID = types.ComputeBatchID(txns)
+	return b
+}
+
+// spreadKeys returns count keys i·stride mod m; with stride coprime to m and
+// count ≤ m they are distinct and spread over [0, m).
+func spreadKeys(count int, stride, m uint64) []uint64 {
+	keys := make([]uint64, count)
+	for i := range keys {
+		keys[i] = uint64(i) * stride % m
+	}
+	return keys
+}
+
+// populated builds a 200-record store after 200 writes to distinct keys
+// spread over [0, 240): most of the dense range, keys above it (kept in the
+// sparse map), and some dense keys left at their initial payload.
 func populated(t *testing.T) *Store {
 	t.Helper()
 	s := NewStore(200, 16)
-	wl := NewWorkload(7, types.ClientIDBase, 200, 16)
-	for i := 0; i < 8; i++ {
-		s.Apply(wl.NextBatch(25))
-	}
+	s.Apply(writeBatch(spreadKeys(200, 37, 240)...))
 	return s
 }
 
@@ -75,6 +98,140 @@ func TestSnapshotEncodeIdentity(t *testing.T) {
 	if !bytes.Equal(snap.Encode(), data) {
 		t.Fatal("decode/re-encode is not the identity")
 	}
+}
+
+// refStore is the table as it was kept before the dense layout: one map, in
+// which a present key may hold a nil value (the wire codec decodes an empty
+// value as nil). Its methods are that code, lock aside;
+// TestSnapshotGoldenBytes holds every encoder to referenceSnapshot.
+type refStore struct {
+	records map[uint64][]byte
+	applied uint64
+}
+
+func newRefStore(n uint64, recordSize int) *refStore {
+	s := &refStore{records: make(map[uint64][]byte, n)}
+	payload := make([]byte, recordSize)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	for i := uint64(0); i < n; i++ {
+		s.records[i] = payload
+	}
+	return s
+}
+
+func (s *refStore) apply(b *types.Batch) {
+	for i := range b.Txns {
+		if t := &b.Txns[i]; t.Op == types.OpWrite {
+			s.records[t.Key] = t.Value
+		}
+		s.applied++
+	}
+}
+
+func (s *refStore) restore(t *TableSnapshot) {
+	records := make(map[uint64][]byte, len(t.Records))
+	for k, v := range t.Records {
+		records[k] = v
+	}
+	s.records = records
+	s.applied = t.Applied
+}
+
+// referenceSnapshot is the sort-based encoder the dense layout replaced.
+func (s *refStore) referenceSnapshot(height uint64, execHash types.Digest) []byte {
+	keys := make([]uint64, 0, len(s.records))
+	size := snapMinSize
+	for k, v := range s.records {
+		keys = append(keys, k)
+		size += 8 + 4 + len(v)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+
+	out := make([]byte, 0, size)
+	out = append(out, snapMagic...)
+	out = binary.LittleEndian.AppendUint32(out, snapVersion)
+	out = binary.LittleEndian.AppendUint64(out, height)
+	out = append(out, execHash[:]...)
+	out = binary.LittleEndian.AppendUint64(out, s.applied)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(keys)))
+	for _, k := range keys {
+		v := s.records[k]
+		out = binary.LittleEndian.AppendUint64(out, k)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(v)))
+		out = append(out, v...)
+	}
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, snapCRC))
+}
+
+// TestSnapshotGoldenBytes: Store.Snapshot, Freeze().Encode and
+// TableSnapshot.Encode emit exactly the bytes of the sort-based encoder over
+// a plain map, so WAL files and state chunks written by either layout stay
+// interchangeable. The table mixes dense keys, sparse keys above the dense
+// range (up to 1<<40), zero-length writes — a nil value, as the wire codec
+// decodes one, must still make the key present — and a Restore from a
+// snapshot that has sparse keys and lacks most dense ones.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	const n = 64
+	s, ref := NewStore(n, 8), newRefStore(n, 8)
+	apply := func(b *types.Batch) {
+		s.Apply(b)
+		ref.apply(b)
+	}
+	check := func(stage string, height uint64) {
+		t.Helper()
+		exec := types.Digest{byte(height), 0xA5}
+		want := ref.referenceSnapshot(height, exec)
+		if got := s.Snapshot(height, exec); !bytes.Equal(got, want) {
+			t.Fatalf("%s: Store.Snapshot differs from the reference encoder", stage)
+		}
+		if got := s.Freeze().Encode(height, exec); !bytes.Equal(got, want) {
+			t.Fatalf("%s: Freeze().Encode differs from the reference encoder", stage)
+		}
+		snap, err := DecodeSnapshot(want)
+		if err != nil {
+			t.Fatalf("%s: reference bytes do not decode: %v", stage, err)
+		}
+		if got := snap.Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("%s: TableSnapshot.Encode differs from the reference encoder", stage)
+		}
+	}
+	empty := &types.Batch{Txns: []types.Transaction{
+		{Op: types.OpWrite, Key: 9},                   // dense, nil value
+		{Op: types.OpWrite, Key: n + 3},               // sparse, nil value
+		{Op: types.OpWrite, Key: 11, Value: []byte{}}, // dense, empty non-nil value
+	}}
+	empty.ID = types.ComputeBatchID(empty.Txns)
+
+	check("initial table", 1)
+	apply(writeBatch(0, 5, n-1, 17, 5))
+	apply(writeBatch(n, n+9, 1<<40, 1000))
+	apply(empty)
+	check("after dense, sparse and zero-length writes", 2)
+
+	frozen, want := s.Freeze(), ref.referenceSnapshot(3, types.Digest{3})
+	apply(writeBatch(0, 9, n+9, 1<<40))
+	if !bytes.Equal(frozen.Encode(3, types.Digest{3}), want) {
+		t.Fatal("writes after Freeze leaked into the frozen table")
+	}
+
+	src := &refStore{applied: 77, records: map[uint64][]byte{
+		1: []byte("one"), 3: nil, n + 2: []byte("sparse"), 1 << 40: []byte("far"),
+	}}
+	snap, err := DecodeSnapshot(src.referenceSnapshot(4, types.Digest{4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Restore(snap)
+	ref.restore(snap)
+	check("after restore", 5)
+	if s.Read(0) != nil || s.Read(n) != nil {
+		t.Fatal("keys the snapshot lacks survived the restore")
+	}
+	apply(writeBatch(2, 1<<40, n+2))
+	apply(empty)
+	check("after writes over the restored table", 6)
 }
 
 // TestSnapshotRejectsCorruption: every class of envelope damage is refused —
@@ -191,8 +348,7 @@ func TestFingerprintSeesColdKeys(t *testing.T) {
 // discipline the wire codec fuzzer enforces).
 func FuzzSnapshotDecode(f *testing.F) {
 	s := NewStore(50, 8)
-	wl := NewWorkload(3, types.ClientIDBase, 50, 8)
-	s.Apply(wl.NextBatch(30))
+	s.Apply(writeBatch(append(spreadKeys(30, 17, 70), 1<<40)...))
 	good := s.Snapshot(32, types.Digest{7})
 	f.Add(good)
 	f.Add(good[:len(good)-5])
@@ -210,4 +366,40 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("accepted non-canonical encoding (%d bytes)", len(data))
 		}
 	})
+}
+
+// table100k is the benchmark's 100 000-record, 64-byte table after one batch
+// of writes spread across it.
+func table100k() *Store {
+	s := NewStore(100000, 64)
+	s.Apply(writeBatch(spreadKeys(100, 997, 100000)...))
+	return s
+}
+
+var (
+	snapSink   []byte
+	frozenSink *Frozen
+)
+
+// BenchmarkSnapshot100k: encoding the whole table into an envelope — what a
+// checkpoint cut paid before encoding was deferred to the WAL write or a
+// state-transfer serve.
+func BenchmarkSnapshot100k(b *testing.B) {
+	s := table100k()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapSink = s.Snapshot(128, types.Digest{1})
+	}
+}
+
+// BenchmarkFreeze100k: what a checkpoint cut pays now, a copy of the
+// table's slice headers.
+func BenchmarkFreeze100k(b *testing.B) {
+	s := table100k()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frozenSink = s.Freeze()
+	}
 }

@@ -20,31 +20,67 @@ const DefaultRecords = 500000
 // Store is the replicated YCSB table. It is safe for concurrent readers
 // with one writer (the execution loop), matching ResilientDB's sequential
 // execution model.
+//
+// Keys below the size the table was built with live in a dense slice indexed
+// by key, so the table is always in ascending key order and a checkpoint cut
+// never sorts; keys at or above it live in a sparse map. A nil dense entry
+// means the key is absent. Values are never written in place — a write
+// replaces the slice header — so a Frozen copy of the headers stays valid
+// while the table moves on.
 type Store struct {
 	mu      sync.RWMutex
-	records map[uint64][]byte
-	applied uint64 // transactions executed
+	dense   [][]byte          // keys [0, len(dense)); nil = absent
+	sparse  map[uint64][]byte // keys ≥ len(dense)
+	applied uint64            // transactions executed
 }
+
+// emptyValue stands in for a zero-length value in the dense slice, where nil
+// already means "absent": the wire codec decodes an empty value as nil, and
+// writing it must still make the key present.
+var emptyValue = []byte{}
 
 // NewStore initializes a table with n records holding deterministic
 // payloads, as the paper initializes each replica with an identical copy.
 func NewStore(n uint64, recordSize int) *Store {
-	s := &Store{records: make(map[uint64][]byte, n)}
+	s := &Store{dense: make([][]byte, n)}
 	payload := make([]byte, recordSize)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	for i := uint64(0); i < n; i++ {
-		s.records[i] = payload
+	for i := range s.dense {
+		s.dense[i] = payload
 	}
 	return s
+}
+
+// get returns the value at key (nil if absent). Callers hold s.mu.
+func (s *Store) get(key uint64) []byte {
+	if key < uint64(len(s.dense)) {
+		return s.dense[key]
+	}
+	return s.sparse[key]
+}
+
+// put makes key present with value v. Callers hold s.mu for writing.
+func (s *Store) put(key uint64, v []byte) {
+	if key < uint64(len(s.dense)) {
+		if v == nil {
+			v = emptyValue
+		}
+		s.dense[key] = v
+		return
+	}
+	if s.sparse == nil {
+		s.sparse = make(map[uint64][]byte)
+	}
+	s.sparse[key] = v
 }
 
 // Read returns the value of a record (nil if absent).
 func (s *Store) Read(key uint64) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.records[key]
+	return s.get(key)
 }
 
 // Applied returns the number of executed transactions.
@@ -78,12 +114,12 @@ func (s *Store) Apply(b *types.Batch) types.Digest {
 		t := &b.Txns[i]
 		switch t.Op {
 		case types.OpWrite:
-			s.records[t.Key] = t.Value
+			s.put(t.Key, t.Value)
 			binary.LittleEndian.PutUint64(kb[:], t.Key)
 			h.Write(kb[:])
 			h.Write(t.Value)
 		case types.OpRead:
-			_ = s.records[t.Key] // served locally; not attested (see above)
+			_ = s.get(t.Key) // served locally; not attested (see above)
 		}
 		s.applied++
 	}
