@@ -13,18 +13,19 @@ import (
 	"time"
 
 	"spotless/internal/crypto"
+	"spotless/internal/runtime"
 	"spotless/internal/transport"
 	"spotless/internal/types"
 	"spotless/internal/ycsb"
 )
 
+// pending is the retransmit bookkeeping of one unanswered batch; completion
+// (f+1 matching Informs) is runtime.Client's.
 type pending struct {
 	batch     *types.Batch
 	submitted time.Time
 	replica   int
 	timeout   time.Duration
-	informs   map[types.NodeID]bool
-	done      bool
 }
 
 func main() {
@@ -39,33 +40,13 @@ func main() {
 	)
 	flag.Parse()
 
-	peers := make(map[types.NodeID]string)
-	var id int
-	var addr string
-	rest := *peersFlag
-	for rest != "" {
-		next := rest
-		if i := indexByte(rest, ','); i >= 0 {
-			next, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = ""
-		}
-		if _, err := fmt.Sscanf(next, "%d=%s", &id, &addr); err != nil {
-			log.Fatalf("bad -peers element %q", next)
-		}
-		peers[types.NodeID(id)] = addr
-	}
-	if len(peers) != *n {
-		log.Fatalf("-peers lists %d replicas, -n is %d", len(peers), *n)
+	peers, err := runtime.ParsePeers(*peersFlag, *n)
+	if err != nil {
+		log.Fatal(err)
 	}
 	f := (*n - 1) / 3
 
-	ids := make([]types.NodeID, 0, *n+1)
-	for i := 0; i < *n; i++ {
-		ids = append(ids, types.NodeID(i))
-	}
-	ids = append(ids, types.ClientIDBase)
-	ring := crypto.NewKeyring([]byte(*secret), ids)
+	ring := crypto.NewClusterKeyring([]byte(*secret), *n)
 	prov, err := ring.Provider(types.ClientIDBase)
 	if err != nil {
 		log.Fatal(err)
@@ -75,34 +56,25 @@ func main() {
 		mu        sync.Mutex
 		inFlight  = map[types.Digest]*pending{}
 		latencies []time.Duration
-		completed int
 		doneCh    = make(chan struct{}, 1)
 	)
 
-	tr := transport.New(transport.Config{ID: types.ClientIDBase, Peers: peers, Crypto: prov})
-	tr.Register(types.ClientIDBase, func(from types.NodeID, msg types.Message) {
-		inf, ok := msg.(*types.Inform)
-		if !ok {
-			return
-		}
+	client := runtime.NewClient(f, func(id types.Digest) {
 		mu.Lock()
 		defer mu.Unlock()
-		p := inFlight[inf.BatchID]
-		if p == nil || p.done {
+		p := inFlight[id]
+		if p == nil {
 			return
 		}
-		p.informs[inf.Replica] = true
-		if len(p.informs) >= f+1 {
-			p.done = true
-			delete(inFlight, inf.BatchID)
-			latencies = append(latencies, time.Since(p.submitted))
-			completed++
-			select {
-			case doneCh <- struct{}{}:
-			default:
-			}
+		delete(inFlight, id)
+		latencies = append(latencies, time.Since(p.submitted))
+		select {
+		case doneCh <- struct{}{}:
+		default:
 		}
 	})
+	tr := transport.New(transport.Config{ID: types.ClientIDBase, Peers: peers, Crypto: prov})
+	tr.Register(types.ClientIDBase, client.Receive)
 	if err := tr.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -117,7 +89,7 @@ func main() {
 	}
 	newBatch := func() {
 		b := wl.NextBatch(*batchSize)
-		p := &pending{batch: b, submitted: time.Now(), timeout: *timeout, informs: map[types.NodeID]bool{}}
+		p := &pending{batch: b, submitted: time.Now(), timeout: *timeout}
 		mu.Lock()
 		inFlight[b.ID] = p
 		mu.Unlock()
@@ -133,7 +105,7 @@ func main() {
 	defer retry.Stop()
 	for {
 		mu.Lock()
-		doneCount := completed
+		doneCount := len(latencies)
 		mu.Unlock()
 		if doneCount >= *batches {
 			break
@@ -174,13 +146,4 @@ func main() {
 			latencies[len(latencies)/2].Round(time.Microsecond),
 			latencies[len(latencies)*99/100].Round(time.Microsecond))
 	}
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }

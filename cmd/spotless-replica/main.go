@@ -19,62 +19,18 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
 	"spotless/internal/core"
 	"spotless/internal/crypto"
 	"spotless/internal/dissem"
-	"spotless/internal/ledger"
 	"spotless/internal/metrics"
 	"spotless/internal/runtime"
 	"spotless/internal/transport"
 	"spotless/internal/types"
 	"spotless/internal/wal"
-	"spotless/internal/ycsb"
 )
-
-// requestQueue assigns incoming client batches to instances by digest
-// (§5: instance i proposes transactions with digest d ≡ i mod m). Under
-// digest ordering (-dissem) the sharding changes: every batch this replica
-// receives goes on its own dissemination lane — the dissemination layer
-// pulls that lane, certifies availability, and only then do instances pick
-// the digest up for proposing.
-type requestQueue struct {
-	mu     sync.Mutex
-	m      int
-	lane   int32 // ≥ 0: dissemination mode, all batches on this lane
-	queues [][]*types.Batch
-}
-
-func newRequestQueue(m int, lane int32) *requestQueue {
-	return &requestQueue{m: m, lane: lane, queues: make([][]*types.Batch, m)}
-}
-
-func (q *requestQueue) Add(b *types.Batch) {
-	if b == nil {
-		return
-	}
-	inst := q.lane
-	if inst < 0 {
-		inst = int32(b.ID[0]) % int32(q.m)
-	}
-	q.mu.Lock()
-	q.queues[inst] = append(q.queues[inst], b)
-	q.mu.Unlock()
-}
-
-func (q *requestQueue) Next(instance int32, now time.Duration) *types.Batch {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if int(instance) >= q.m || len(q.queues[instance]) == 0 {
-		return nil
-	}
-	b := q.queues[instance][0]
-	q.queues[instance] = q.queues[instance][1:]
-	return b
-}
 
 func main() {
 	var (
@@ -102,95 +58,21 @@ func main() {
 		log.Fatalf("spotless-replica: %v", err)
 	}
 
-	peers, err := parsePeers(*peersFlag)
+	peers, err := runtime.ParsePeers(*peersFlag, *n)
 	if err != nil {
 		log.Fatalf("spotless-replica: %v", err)
-	}
-	if len(peers) != *n {
-		log.Fatalf("spotless-replica: -peers lists %d replicas, -n is %d", len(peers), *n)
 	}
 	m := *instances
 	if m == 0 {
 		m = *n
 	}
 	self := types.NodeID(*id)
-	listen, ok := peers[self]
-	if !ok {
-		log.Fatalf("spotless-replica: own id %d missing from -peers", *id)
-	}
-
-	ids := make([]types.NodeID, 0, *n+1)
-	for i := 0; i < *n; i++ {
-		ids = append(ids, types.NodeID(i))
-	}
-	ids = append(ids, types.ClientIDBase)
-	ring := crypto.NewKeyring([]byte(*secret), ids)
+	ring := crypto.NewClusterKeyring([]byte(*secret), *n)
 	prov, err := ring.Provider(self)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	tr := transport.New(transport.Config{ID: self, Listen: listen, Peers: peers, Crypto: prov})
-	var queue *requestQueue
-	if *useDissem {
-		// One lane per origin replica; this replica only fills (and pulls)
-		// its own.
-		queue = newRequestQueue(*n, int32(*id))
-	} else {
-		queue = newRequestQueue(m, -1)
-	}
-	store := ycsb.NewStore(*records, 64)
-	lg := ledger.New()
-	var durable *wal.Store
-	var resume *core.ResumeState
-	var snapData []byte
-	if *dataDir != "" {
-		pol, err := wal.ParseFsyncPolicy(*fsyncPol)
-		if err != nil {
-			log.Fatalf("spotless-replica: %v", err)
-		}
-		lg, durable, resume, snapData, err = runtime.OpenDurable(*dataDir, wal.Config{Fsync: pol, Logf: log.Printf})
-		if err != nil {
-			log.Fatalf("spotless-replica: open %s: %v", *dataDir, err)
-		}
-		if h, _ := lg.Head(); h > 0 {
-			log.Printf("wal: replayed chain to height %d from %s", h, *dataDir)
-		}
-	}
-	exec := runtime.NewReplicaExecutor(self, store, lg, tr, types.ClientIDBase)
-	if durable != nil {
-		exec.BindDurable(durable)
-	}
-
-	node := runtime.NewNode(runtime.NodeConfig{
-		ID: self, N: *n, F: (*n - 1) / 3,
-		Transport: tr, Crypto: prov, Source: queue,
-		Executor: exec,
-		// The transport screens inbound signatures on its reader
-		// goroutines + the shared pool (SetIngress below); the node must
-		// not verify a second time.
-		PreVerified: true,
-		// Instance-parallel core: shard the m instances over this many
-		// event-loop goroutines behind the serialized ordering stage.
-		Workers: runtime.AutoWorkers(*instWkrs, m),
-	})
-	// Client Requests arrive through the same transport; intercept them
-	// before protocol dispatch. A retransmitted request whose batch already
-	// executed is answered from the reply cache (§5): the delivery layer
-	// deduplicates re-proposals, so it would never Inform again.
-	tr.Register(self, func(from types.NodeID, msg types.Message) {
-		if req, ok := msg.(*types.Request); ok {
-			if req.Batch != nil {
-				if results, done := exec.Reply(req.Batch.ID); done {
-					tr.Send(self, from, &types.Inform{Replica: self, BatchID: req.Batch.ID, Results: results})
-					return
-				}
-			}
-			queue.Add(req.Batch)
-			return
-		}
-		node.Inject(from, msg)
-	})
+	tr := transport.New(transport.Config{ID: self, Listen: peers[self], Peers: peers, Crypto: prov})
 
 	cfg := core.DefaultConfig(*n, m)
 	cfg.InitialRecordingTimeout = *timeout
@@ -201,50 +83,45 @@ func main() {
 	// the backoff for a client batch before proposing the no-op filler.
 	cfg.IdleBackoff = *idleWait
 	cfg.Pacemaker = pm
-	if *ckptEvery > 0 {
-		// Checkpoint + GC + state transfer: bounds memory in long runs and
-		// lets a restarted replica rejoin from the stable checkpoint (the
-		// operator kill-and-rejoin path; see README).
-		cfg.CheckpointInterval = *ckptEvery
-		cfg.Host = exec
-	}
+	// Checkpoint + GC + state transfer bound memory in long runs and let a
+	// restarted replica rejoin from the stable checkpoint (0 disables).
+	cfg.CheckpointInterval = max(*ckptEvery, 0)
 	if *useDissem {
 		cfg.Dissem = dissem.New(dissem.Config{N: *n, F: (*n - 1) / 3, CodeK: *dissemK})
 	} else if *dissemK > 0 {
 		log.Fatalf("spotless-replica: -dissem-code requires -dissem")
 	}
-	if err := runtime.ApplyResume(resume, snapData, &cfg, prov, exec); err != nil {
-		log.Printf("wal: resume state rejected (%v); rejoining over the network", err)
-	} else if cfg.Resume != nil {
-		// Distinguish the restored-table restart from the forward-replay
-		// fallback: the latter serves initial values for cold keys until
-		// state transfer or fresh writes cover them, and an operator chasing
-		// stale reads needs to see which of the two happened.
-		if cfg.Resume.SnapshotHeight != 0 {
-			log.Printf("wal: resuming from stable checkpoint at height %d (execution snapshot restored, table attested)",
-				cfg.Resume.Cert.Height)
-		} else {
-			log.Printf("wal: resuming from stable checkpoint at height %d (NO execution snapshot — cold keys serve initial values until overwritten)",
-				cfg.Resume.Cert.Height)
+	workers := runtime.AutoWorkers(*instWkrs, m)
+	spec := runtime.ReplicaSpec{
+		// A nil Source: client Requests arrive through the request intake.
+		Node:      runtime.NodeConfig{ID: self, N: *n, F: (*n - 1) / 3, Transport: tr, Crypto: prov, Workers: workers},
+		Consensus: cfg,
+		WAL:       wal.Config{Logf: log.Printf},
+		DataDir:   *dataDir,
+		Records:   *records,
+	}
+	if *dataDir != "" {
+		if spec.WAL.Fsync, err = wal.ParseFsyncPolicy(*fsyncPol); err != nil {
+			log.Fatalf("spotless-replica: %v", err)
 		}
 	}
-	rep := core.New(node, cfg)
-	node.SetProtocol(rep)
-	// Verification pipeline: MAC checks on the transport readers, declared
-	// signature checks on the node's worker pool, before the event loop.
-	tr.SetIngress(rep, node.Verifier())
+	rep, err := runtime.Assemble(spec)
+	if err != nil {
+		log.Fatalf("spotless-replica: %v", err)
+	}
+	store, lg := rep.Exec.Store(), rep.Exec.Ledger()
 
 	if *metrAddr != "" {
 		// The source re-resolves through closures so the endpoint stays
 		// correct if the consensus stack is ever rebuilt in-process.
 		src := metrics.Source{
-			Replica:   func() *core.Replica { return rep },
+			Replica:   func() *core.Replica { return rep.Core },
 			Transport: func() *transport.TCP { return tr },
 		}
 		if layer := cfg.Dissem; layer != nil {
 			src.Dissem = func() *dissem.Layer { return layer }
 		}
-		if durable != nil {
+		if durable := rep.WAL; durable != nil {
 			src.WAL = func() *wal.Store { return durable }
 		}
 		ln, err := metrics.Serve(*metrAddr, src)
@@ -258,9 +135,9 @@ func main() {
 	if err := tr.Start(); err != nil {
 		log.Fatal(err)
 	}
-	node.Start()
+	rep.Node.Start()
 	log.Printf("spotless-replica %d up: n=%d m=%d workers=%d dissem=%v listen=%s",
-		*id, *n, m, runtime.AutoWorkers(*instWkrs, m), *useDissem, listen)
+		*id, *n, m, workers, *useDissem, peers[self])
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
@@ -275,13 +152,10 @@ func main() {
 			lastApplied = applied
 			log.Printf("executed=%d (%.0f txn/s) ledger-height=%d", applied, rate, lg.Height())
 		case <-stop:
-			node.Stop()
-			tr.Close()
-			if durable != nil {
-				if err := durable.Close(); err != nil {
-					log.Printf("wal close FAILED: %v", err)
-				}
+			if err := rep.Stop(); err != nil {
+				log.Printf("wal close FAILED: %v", err)
 			}
+			tr.Close()
 			if err := lg.Verify(); err != nil {
 				log.Printf("ledger verification FAILED: %v", err)
 				os.Exit(1)
@@ -293,34 +167,4 @@ func main() {
 			return
 		}
 	}
-}
-
-func parsePeers(s string) (map[types.NodeID]string, error) {
-	peers := make(map[types.NodeID]string)
-	if s == "" {
-		return nil, fmt.Errorf("missing -peers")
-	}
-	for _, part := range splitComma(s) {
-		var id int
-		var addr string
-		if _, err := fmt.Sscanf(part, "%d=%s", &id, &addr); err != nil {
-			return nil, fmt.Errorf("bad peer %q (want id=host:port)", part)
-		}
-		peers[types.NodeID(id)] = addr
-	}
-	return peers, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

@@ -13,7 +13,7 @@ import (
 
 // TestConfigKnobsDocumented keeps the knob table in docs/ARCHITECTURE.md
 // and the config structs in step: every exported field of core.Config,
-// dissem.Config and runtime.ClusterConfig needs a row, and every row must
+// dissem.Config, runtime.ClusterConfig and runtime.ReplicaSpec needs a row, and every row must
 // name a field that still exists. A new knob therefore has to say, in
 // review, what its default is and who sets it to something else.
 func TestConfigKnobsDocumented(t *testing.T) {
@@ -25,6 +25,7 @@ func TestConfigKnobsDocumented(t *testing.T) {
 		"core.Config":           reflect.TypeOf(core.Config{}),
 		"dissem.Config":         reflect.TypeOf(dissem.Config{}),
 		"runtime.ClusterConfig": reflect.TypeOf(runtime.ClusterConfig{}),
+		"runtime.ReplicaSpec":   reflect.TypeOf(runtime.ReplicaSpec{}),
 	}
 	rows := make(map[string]bool)
 	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z]+\\.[A-Za-z]+)\\.([A-Za-z]+)` \\|").FindAllSubmatch(doc, -1) {

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 // BenchmarkInstanceParallel reports the commit throughput of the
@@ -18,28 +17,6 @@ func BenchmarkInstanceParallel(b *testing.B) {
 				res := Run(InstParOptions(8, 8, w))
 				b.ReportMetric(res.Throughput/1000, "ktxn/s")
 				b.ReportMetric(float64(res.AvgLatency.Microseconds())/1000, "lat-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkInstanceParallelRuntime measures the real substrate: TCP
-// loopback, ed25519/HMAC, YCSB execution, sharded runtime nodes. Wall-clock
-// results depend on the host's core count — on a single-core host both arms
-// coincide; the simulator benchmark above carries the modelled scaling.
-func BenchmarkInstanceParallelRuntime(b *testing.B) {
-	for _, w := range []int{1, 8} {
-		b.Run(fmt.Sprintf("m=8/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := RunRuntime(RuntimeOptions{
-					N: 4, Instances: 8, InstanceWorkers: w,
-					Warmup: 500 * time.Millisecond, Measure: time.Second,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Throughput/1000, "ktxn/s")
-				b.ReportMetric(float64(res.NetQueueSheds), "queue-sheds")
 			}
 		})
 	}

@@ -134,26 +134,9 @@ type Result struct {
 	// replica executed its first post-revival batch (0: never recovered).
 	ReviveRecovery time.Duration
 
-	// TCP transport saturation counters aggregated across replicas — the
-	// drop paths of transport.Stats that would otherwise stay silent
-	// during saturated perf runs. Populated by the runtime-substrate
-	// harness (RunRuntime); always zero on simulator runs.
-	NetEncodes        uint64
-	NetEncodeFailures uint64
-	NetQueueSheds     uint64
-	NetMACRejections  uint64
-	NetDecodeFailures uint64
-	NetIngressDrops   uint64
-	// Endpoint frame volume (transport.Stats.BytesOut/BytesIn summed over
-	// replicas; runtime substrate only).
-	NetBytesOut uint64
-	NetBytesIn  uint64
-
 	// Dissemination egress accounting (Dissem runs only): measurement-window
 	// deltas of internal/dissem counters summed over replicas.
 	DissemPushedBytes uint64 // origin push egress (full payloads or chunks)
-	DissemServedBytes uint64 // backfill-serving egress
-	DissemChunkPulls  uint64 // chunk backfill requests (coded mode)
 	Reconstructions   uint64 // payloads decoded from k chunks (coded mode)
 	ReconstructFails  uint64 // poisoned deliveries (coded mode)
 	// PushBytesPerBatch is origin push egress per delivered batch — the
@@ -390,8 +373,6 @@ func Run(o Options) Result {
 	}
 	if o.Dissem {
 		res.DissemPushedBytes = dissemDuring.PushedBytes - dissemBefore.PushedBytes
-		res.DissemServedBytes = dissemDuring.ServedBytes - dissemBefore.ServedBytes
-		res.DissemChunkPulls = dissemDuring.ChunkPulls - dissemBefore.ChunkPulls
 		res.Reconstructions = dissemDuring.Reconstructions - dissemBefore.Reconstructions
 		res.ReconstructFails = dissemDuring.ReconstructFails - dissemBefore.ReconstructFails
 		if col.BatchesDone > 0 {
@@ -417,8 +398,6 @@ func sumDissemStats(protos []protocol.Protocol) dissem.Stats {
 		}
 		s := rep.DissemLayer().Stats()
 		tot.PushedBytes += s.PushedBytes
-		tot.ServedBytes += s.ServedBytes
-		tot.ChunkPulls += s.ChunkPulls
 		tot.Reconstructions += s.Reconstructions
 		tot.ReconstructFails += s.ReconstructFails
 	}

@@ -103,6 +103,16 @@ type Keyring struct {
 	privs  map[types.NodeID]ed25519.PrivateKey
 }
 
+// NewClusterKeyring is the keyring of an n-replica deployment: replicas
+// 0..n−1 and the client identity types.ClientIDBase.
+func NewClusterKeyring(secret []byte, n int) *Keyring {
+	ids := make([]types.NodeID, 0, n+1)
+	for i := 0; i < n; i++ {
+		ids = append(ids, types.NodeID(i))
+	}
+	return NewKeyring(secret, append(ids, types.ClientIDBase))
+}
+
 // NewKeyring derives ed25519 keypairs for the given node ids from a cluster
 // secret. All replicas of a deployment construct the same ring, emulating a
 // pre-distributed PKI.

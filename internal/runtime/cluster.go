@@ -156,9 +156,6 @@ func (e *ReplicaExecutor) BindDurable(st *wal.Store) {
 	e.ledger.Bind(st)
 }
 
-// Durable exposes the WAL store backing the ledger (nil when memory-only).
-func (e *ReplicaExecutor) Durable() *wal.Store { return e.durable }
-
 // Store exposes the replica's table.
 func (e *ReplicaExecutor) Store() *ycsb.Store { return e.store }
 
@@ -461,9 +458,6 @@ type SafeSource struct {
 	src BatchSource
 }
 
-// NewSafeSource wraps src with a mutex.
-func NewSafeSource(src BatchSource) *SafeSource { return &SafeSource{src: src} }
-
 // Next implements BatchSource.
 func (s *SafeSource) Next(instance int32, now time.Duration) *types.Batch {
 	s.mu.Lock()
@@ -554,6 +548,7 @@ type Cluster struct {
 	cfg  ClusterConfig // retained for Restart
 	ring *crypto.Keyring
 	src  BatchSource
+	reps []*Assembled
 }
 
 // ClusterConfig parameterizes NewCluster.
@@ -632,12 +627,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	n, f := cfg.N, (cfg.N-1)/3
 	clientID := types.ClientIDBase
-	ids := make([]types.NodeID, 0, n+1)
-	for i := 0; i < n; i++ {
-		ids = append(ids, types.NodeID(i))
-	}
-	ids = append(ids, clientID)
-	ring := crypto.NewKeyring([]byte("spotless-cluster-secret"), ids)
+	ring := crypto.NewClusterKeyring([]byte("spotless-cluster-secret"), n)
 
 	trans := NewLocalTransport()
 	cl := &Cluster{N: n, F: f, M: cfg.Instances, Transport: trans, ClientID: clientID,
@@ -646,12 +636,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	trans.Register(clientID, cl.Client.Receive)
 
 	if cfg.Source != nil {
-		cl.src = NewSafeSource(cfg.Source)
+		cl.src = &SafeSource{src: cfg.Source}
 	}
 	cl.Nodes = make([]*Node, n)
 	cl.Replicas = make([]*core.Replica, n)
 	cl.Execs = make([]*ReplicaExecutor, n)
 	cl.Stores = make([]*wal.Store, n)
+	cl.reps = make([]*Assembled, n)
 	for i := 0; i < n; i++ {
 		if err := cl.buildReplica(i); err != nil {
 			return nil, err
@@ -677,6 +668,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // restore the table only when the resume itself verifies; a decode failure
 // quarantines through Store.QuarantineSnapshot.
 func OpenDurable(dir string, cfg wal.Config) (*ledger.Ledger, *wal.Store, *core.ResumeState, []byte, error) {
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
 	st, rec, err := wal.Open(dir, cfg)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -762,60 +756,48 @@ func ApplyResume(res *core.ResumeState, snapData []byte, cfg *core.Config, prov 
 	return verr
 }
 
-// buildReplica constructs (or reconstructs) replica i with a fresh node,
-// executor, and protocol instance. With DataDir set, the ledger is restored
-// from the replica's WAL and consensus resumes from the persisted stable
-// checkpoint (validated by core.VerifyResume; anything unverifiable is
-// dropped and the replica rejoins over the network).
+// buildReplica constructs (or reconstructs) replica i through Assemble.
+// With DataDir set, the ledger is restored from the replica's WAL and
+// consensus resumes from the persisted stable checkpoint (validated by
+// core.VerifyResume; anything unverifiable is dropped and the replica
+// rejoins over the network).
 func (c *Cluster) buildReplica(i int) error {
 	id := types.NodeID(i)
 	prov, err := c.ring.Provider(id)
 	if err != nil {
 		return err
 	}
-	lg := ledger.New()
-	var durable *wal.Store
-	var res *core.ResumeState
-	var snapData []byte
-	if c.cfg.DataDir != "" {
-		dir := filepath.Join(c.cfg.DataDir, fmt.Sprintf("r%d", i))
-		var fsys wal.FS
-		if c.cfg.FSFor != nil {
-			fsys = c.cfg.FSFor(i)
-		}
-		lg, durable, res, snapData, err = OpenDurable(dir, wal.Config{FS: fsys, Fsync: c.cfg.Fsync})
-		if err != nil {
-			return fmt.Errorf("runtime: replica %d wal: %w", i, err)
-		}
-	}
-	exec := NewReplicaExecutor(id, ycsb.NewStore(c.cfg.Records, 64), lg, c.Transport, c.ClientID)
-	if durable != nil {
-		exec.BindDurable(durable)
-	}
-	node := NewNode(NodeConfig{
-		ID: id, N: c.N, F: c.F,
-		Transport: c.Transport, Crypto: prov, Source: c.src, Executor: exec,
-		Workers: AutoWorkers(c.cfg.InstanceWorkers, c.cfg.Instances),
-	})
 	ccfg := core.DefaultConfig(c.N, c.cfg.Instances)
 	ccfg.InitialRecordingTimeout = 100 * time.Millisecond
 	ccfg.InitialCertifyTimeout = 100 * time.Millisecond
 	ccfg.MinTimeout = 10 * time.Millisecond
 	ccfg.IdleBackoff = c.cfg.IdleBackoff
-	if c.cfg.CheckpointInterval > 0 {
-		ccfg.CheckpointInterval = c.cfg.CheckpointInterval
-		ccfg.Host = exec
+	ccfg.CheckpointInterval = max(c.cfg.CheckpointInterval, 0)
+	spec := ReplicaSpec{
+		Node: NodeConfig{
+			ID: id, N: c.N, F: c.F,
+			Transport: c.Transport, Crypto: prov, Source: c.src,
+			Workers: AutoWorkers(c.cfg.InstanceWorkers, c.cfg.Instances),
+		},
+		Consensus: ccfg,
+		WAL:       wal.Config{Fsync: c.cfg.Fsync},
+		Records:   c.cfg.Records,
+	}
+	if c.cfg.DataDir != "" {
+		spec.DataDir = filepath.Join(c.cfg.DataDir, fmt.Sprintf("r%d", i))
+		if c.cfg.FSFor != nil {
+			spec.WAL.FS = c.cfg.FSFor(i)
+		}
 	}
 	if c.cfg.Tune != nil {
-		c.cfg.Tune(i, &ccfg)
+		spec.Tune = func(cfg *core.Config) { c.cfg.Tune(i, cfg) }
 	}
-	_ = ApplyResume(res, snapData, &ccfg, prov, exec)
-	rep := core.New(node, ccfg)
-	node.SetProtocol(rep)
-	c.Nodes[i] = node
-	c.Replicas[i] = rep
-	c.Execs[i] = exec
-	c.Stores[i] = durable
+	r, err := Assemble(spec)
+	if err != nil {
+		return fmt.Errorf("runtime: replica %d: %w", i, err)
+	}
+	c.reps[i] = r
+	c.Nodes[i], c.Replicas[i], c.Execs[i], c.Stores[i] = r.Node, r.Core, r.Exec, r.WAL
 	return nil
 }
 
@@ -824,9 +806,7 @@ func (c *Cluster) buildReplica(i int) error {
 // if any, is abandoned too WITHOUT a final sync (the kill-9 model): only
 // what the fsync policy already made durable survives a subsequent
 // power-cut (wal.MemFS.Crash) and is replayed by Restart.
-func (c *Cluster) Kill(i int) {
-	c.Nodes[i].Stop()
-}
+func (c *Cluster) Kill(i int) { c.reps[i].Kill() }
 
 // Restart brings a killed replica back, as a crashed process would restart.
 // Memory-only replicas rejoin empty through the checkpoint subsystem (hear
@@ -844,12 +824,7 @@ func (c *Cluster) Restart(i int) error {
 // Stop shuts down all replicas, closing durable stores cleanly (final
 // sync) — the opposite of Kill.
 func (c *Cluster) Stop() {
-	for _, nd := range c.Nodes {
-		nd.Stop()
-	}
-	for _, st := range c.Stores {
-		if st != nil {
-			_ = st.Close()
-		}
+	for _, r := range c.reps {
+		_ = r.Stop()
 	}
 }

@@ -360,13 +360,6 @@ func (n *Node) postMessage(from types.NodeID, msg types.Message) {
 	n.post(event{kind: 0, from: from, msg: msg})
 }
 
-// Inject feeds a message into the node's event loop; deployments that
-// intercept the transport receiver (e.g. to strip client Requests) forward
-// the remaining traffic through it.
-func (n *Node) Inject(from types.NodeID, msg types.Message) {
-	n.receive(from, msg)
-}
-
 func (n *Node) post(ev event) {
 	select {
 	case n.inbox <- ev:

@@ -3,15 +3,10 @@ package transport_test
 import (
 	"reflect"
 	"testing"
-	"time"
 
-	"spotless/internal/core"
 	"spotless/internal/crypto"
-	"spotless/internal/ledger"
-	"spotless/internal/runtime"
 	"spotless/internal/transport"
 	"spotless/internal/types"
-	"spotless/internal/ycsb"
 )
 
 // TestEncodeDecodeRoundTrip covers the wire codec for representative
@@ -54,106 +49,5 @@ func TestMACRejection(t *testing.T) {
 	payload[0] ^= 0xff
 	if err := p1.VerifyMAC(0, payload, mac); err == nil {
 		t.Fatal("tampered payload accepted")
-	}
-}
-
-type sliceSource struct{ batches []*types.Batch }
-
-func (s *sliceSource) Next(instance int32, now time.Duration) *types.Batch {
-	if len(s.batches) == 0 {
-		return nil
-	}
-	b := s.batches[0]
-	s.batches = s.batches[1:]
-	return b
-}
-
-// TestTCPClusterCommits runs a full 4-replica SpotLess cluster over
-// loopback TCP with real crypto, YCSB execution, and ledgers; a TCP client
-// collects the f+1 Informs.
-func TestTCPClusterCommits(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-network integration test")
-	}
-	const n = 4
-	f := (n - 1) / 3
-	ids := []types.NodeID{0, 1, 2, 3, types.ClientIDBase}
-	ring := crypto.NewKeyring([]byte("tcp-test"), ids)
-
-	// Bind listeners on ephemeral ports first to learn the address map.
-	trs := make([]*transport.TCP, n)
-	addrs := make(map[types.NodeID]string, n)
-	for i := 0; i < n; i++ {
-		prov, _ := ring.Provider(types.NodeID(i))
-		tr := transport.New(transport.Config{ID: types.NodeID(i), Listen: "127.0.0.1:0", Crypto: prov})
-		if err := tr.Start(); err != nil {
-			t.Fatal(err)
-		}
-		trs[i] = tr
-		addrs[types.NodeID(i)] = tr.Addr()
-	}
-	defer func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-	}()
-
-	// Dialer endpoints share the listener transports via DialPeers.
-	for i := 0; i < n; i++ {
-		if err := trs[i].DialPeers(addrs); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	wl := ycsb.NewWorkload(3, types.ClientIDBase, 1000, 16)
-	var batches []*types.Batch
-	for j := 0; j < 50; j++ {
-		batches = append(batches, wl.NextBatch(5))
-	}
-	src := runtime.NewSafeSource(&sliceSource{batches: batches})
-
-	nodes := make([]*runtime.Node, n)
-	for i := 0; i < n; i++ {
-		prov, _ := ring.Provider(types.NodeID(i))
-		exec := runtime.NewReplicaExecutor(types.NodeID(i), ycsb.NewStore(1000, 16), ledger.New(), trs[i], types.ClientIDBase)
-		node := runtime.NewNode(runtime.NodeConfig{
-			ID: types.NodeID(i), N: n, F: f, Transport: trs[i], Crypto: prov, Source: src, Executor: exec,
-		})
-		cfg := core.DefaultConfig(n, 1)
-		cfg.InitialRecordingTimeout = 150 * time.Millisecond
-		cfg.InitialCertifyTimeout = 150 * time.Millisecond
-		cfg.MinTimeout = 20 * time.Millisecond
-		node.SetProtocol(core.New(node, cfg))
-		nodes[i] = node
-	}
-
-	done := make(chan struct{}, 256)
-	client := runtime.NewClient(f, func(types.Digest) { done <- struct{}{} })
-	cprov, _ := ring.Provider(types.ClientIDBase)
-	ctr := transport.New(transport.Config{ID: types.ClientIDBase, Peers: addrs, Crypto: cprov})
-	ctr.Register(types.ClientIDBase, client.Receive)
-	if err := ctr.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer ctr.Close()
-
-	for _, nd := range nodes {
-		nd.Start()
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
-	}()
-
-	deadline := time.After(30 * time.Second)
-	completed := 0
-	for completed < 5 {
-		select {
-		case <-done:
-			completed++
-		case <-deadline:
-			t.Fatalf("only %d batches completed over TCP before deadline", completed)
-		}
 	}
 }
