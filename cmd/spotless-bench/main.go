@@ -29,21 +29,19 @@ func main() {
 		list  = flag.Bool("list", false, "list available experiments and exit")
 		run   = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 		quick = flag.Bool("quick", false, "CI-sized sweeps (n ≤ 32) instead of paper scale (n = 128)")
+		seed  = flag.Int64("seed-base", 1, "first seed of the -safety-drill, -soak or -crashsoak sweep")
 
 		safetyDrill  = flag.Int("safety-drill", 0, "run the seeded adversary safety drill over this many seeds (n=4, m=4; ledger diff with a block-level dump on divergence) and exit non-zero on any fork")
-		safetySeed   = flag.Int64("safety-seed-base", 1, "first adversary seed of the -safety-drill sweep")
 		safetyOld    = flag.Bool("safety-legacy", false, "point the -safety-drill at the pre-refactor resolution rules (negative control: divergence is the expected outcome)")
 		safetyDissem = flag.Bool("safety-dissem", false, "run the -safety-drill under digest ordering (internal/dissem)")
 		safetyCode   = flag.Int("safety-dissem-code", 0, "run the -safety-dissem drill with erasure-coded dissemination using this many data chunks (0 = full push; implies -safety-dissem)")
 		safetyPace   = flag.String("safety-pacemaker", "", "view-synchronizer arm for the -safety-drill (spotless, relay, doubling; empty = spotless)")
 
-		powercut = flag.Bool("powercut", false, "run the power-cut drill on the real runtime (kill -9 a durable replica under load, restart, meter the rejoin) against a memory-only control, and exit non-zero unless the durable replica restored its execution snapshot, answered every pre-checkpoint-key read correctly at restart with zero blocks replayed below the snapshot anchor, and transferred strictly less than the control")
+		powercut = flag.Bool("powercut", false, "run the power-cut drill on the simulator with the real executor and WAL (kill -9 a durable replica under load, restart, meter the rejoin) against a memory-only control, and exit non-zero unless the durable replica restored its execution snapshot, answered every pre-checkpoint-key read correctly at restart with zero blocks replayed below the snapshot anchor, and transferred strictly less than the control")
 
-		crashSoak     = flag.Int("crashsoak", 0, "run the crash/disk-fault chaos soak on the real runtime over this many seeds (kill -9 + snapshot/segment faults between checkpoints, restart, compare every table byte-for-byte with a never-crashed control) and exit non-zero on any divergence")
-		crashSoakSeed = flag.Int64("crashsoak-seed-base", 1, "first seed of the -crashsoak sweep")
+		crashSoak = flag.Int("crashsoak", 0, "run the crash/disk-fault chaos soak on the simulator with the real executor and WAL over this many seeds (kill -9 + snapshot/segment faults between checkpoints, restart, compare every table byte-for-byte with a never-crashed control) and exit non-zero on any divergence")
 
 		soak      = flag.Int("soak", 0, "run the seeded soak/chaos bake-off over this many seeds per (fault profile × pacemaker arm) cell — time-to-resync p50/p99 and commits-lost-per-fault on simulator virtual time — and exit non-zero on any divergence")
-		soakSeed  = flag.Int64("soak-seed-base", 1, "first chaos seed of the -soak sweep")
 		soakPace  = flag.String("pacemaker", "", "comma-separated view-synchronizer arms for the -soak sweep (empty = all of spotless, relay, doubling)")
 		soakFault = flag.String("soak-profiles", "", "comma-separated fault profiles for the -soak sweep (empty = partitions, gray, skew)")
 	)
@@ -91,11 +89,7 @@ func main() {
 
 	if *crashSoak > 0 {
 		start := time.Now()
-		res, err := bench.RunCrashSoak(bench.CrashSoakOptions{Seeds: *crashSoak, SeedBase: *crashSoakSeed})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crashsoak: %v\n", err)
-			os.Exit(2)
-		}
+		res := bench.RunCrashSoak(bench.CrashSoakOptions{Seeds: *crashSoak, SeedBase: *seed})
 		t := bench.CrashSoakTable(res)
 		fmt.Println(t.String())
 		fmt.Printf("(crashsoak completed in %s)\n", time.Since(start).Round(time.Millisecond))
@@ -103,7 +97,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "CRASHSOAK FAILED: %d of %d seeds diverged from the never-crashed control\n",
 				res.Divergent, len(res.Seeds))
 			for _, s := range res.Seeds {
-				if s.Diverged {
+				if s.Diverged || s.Forked {
 					fmt.Fprintf(os.Stderr, "seed %d (%v):\n%s", s.Seed, s.Faults, s.Report)
 				}
 			}
@@ -118,7 +112,7 @@ func main() {
 
 	if *soak > 0 {
 		start := time.Now()
-		o := bench.SoakOptions{Seeds: *soak, SeedBase: *soakSeed}
+		o := bench.SoakOptions{Seeds: *soak, SeedBase: *seed}
 		if *soakPace != "" {
 			o.Pacemakers = splitList(*soakPace)
 		}
@@ -145,7 +139,7 @@ func main() {
 		}
 		start := time.Now()
 		res := bench.RunSafetyDrill(bench.SafetyDrillOptions{
-			Seeds: *safetyDrill, SeedBase: *safetySeed, Legacy: *safetyOld,
+			Seeds: *safetyDrill, SeedBase: *seed, Legacy: *safetyOld,
 			Dissem: *safetyDissem || *safetyCode > 0, DissemCode: *safetyCode,
 			Pacemaker: *safetyPace,
 		})
@@ -155,7 +149,7 @@ func main() {
 			os.Exit(1) // strict rules must never fork
 		}
 		if *safetyOld && len(res.Divergent) == 0 {
-			fmt.Println("note: the legacy sweep found no fork in this seed range; try -safety-seed-base 8")
+			fmt.Println("note: the legacy sweep found no fork in this seed range; try -seed-base 8")
 		}
 		return
 	}

@@ -7,23 +7,21 @@ import (
 	"strings"
 	"time"
 
-	"spotless/internal/runtime"
+	"spotless/internal/simnet"
 	"spotless/internal/types"
 	"spotless/internal/wal"
-	"spotless/internal/ycsb"
 )
 
 // This file is the crash/disk-fault chaos soak: the durability proof for
-// execution snapshots. Each seeded run drives a live durable cluster, then
-// repeatedly kill-9s a victim under load, injects a disk fault from a
-// seeded menu — bit flips and truncations on the snapshot file at rest,
-// snapshot loss, segment corruption, fsync failures at snapshot-write time,
-// a power cut dropping unsynced bytes — and restarts it. The invariant: at
-// quiescence every replica's YCSB table byte-matches the never-crashed
-// control replica, cold keys included. Restores, forward-replay fallbacks,
-// and quarantines are tallied so the run also shows WHICH recovery path
-// each fault exercised — a soak where every fault healed through the clean
-// path would prove much less.
+// execution snapshots. Each seeded run drives a durable cluster on the
+// simulator (drill.go), repeatedly kill-9s a victim under load, injects a
+// disk fault from a seeded menu — snapshot bit flips, truncations and loss,
+// segment corruption, fsync failures at snapshot-write time, a power cut —
+// and restarts it. The invariant: at quiescence every YCSB table
+// byte-matches the never-crashed control, cold keys included (the uniform
+// workload writes nearly every key), and no two ledgers disagree on a slot.
+// Restores, fallbacks and quarantines are tallied to show WHICH recovery
+// path each fault exercised.
 
 // CrashSoakOptions parameterizes the soak.
 type CrashSoakOptions struct {
@@ -33,26 +31,20 @@ type CrashSoakOptions struct {
 	// CheckpointInterval is the stable-frontier stride (default 8: several
 	// checkpoints — and snapshots — per episode).
 	CheckpointInterval int
-	Records            uint64 // YCSB table size (default 256; snapshots stay small)
+	Records            uint64 // YCSB table size and key space (default 256; snapshots stay small)
+
+	// adversary installs simnet.RandomAdversary(seed, n, 1) for the whole
+	// run: the composed fault cell, whose starved seeds may not converge.
+	adversary bool
 }
 
 // WithDefaults resolves zero values.
 func (o CrashSoakOptions) WithDefaults() CrashSoakOptions {
-	if o.Seeds == 0 {
-		o.Seeds = 20
-	}
-	if o.SeedBase == 0 {
-		o.SeedBase = 1
-	}
-	if o.Episodes == 0 {
-		o.Episodes = 2
-	}
-	if o.CheckpointInterval == 0 {
-		o.CheckpointInterval = 8
-	}
-	if o.Records == 0 {
-		o.Records = 256
-	}
+	orDefault(&o.Seeds, 20)
+	orDefault(&o.SeedBase, 1)
+	orDefault(&o.Episodes, 2)
+	orDefault(&o.CheckpointInterval, 8)
+	orDefault(&o.Records, 256)
 	return o
 }
 
@@ -74,12 +66,14 @@ var crashFaults = []string{faultNone, faultSnapFlip, faultSnapTruncate,
 // CrashSoakSeed is one seeded run's outcome.
 type CrashSoakSeed struct {
 	Seed        int64
-	Faults      []string // fault kind per episode, in order
-	Restored    uint64   // snapshot restores across all victim restarts
-	Fallbacks   int      // forward-replay fallbacks (loss/corruption signature)
-	Quarantined int      // snapshot files renamed aside
-	Converge    time.Duration
-	Diverged    bool
+	Faults      []string      // fault kind per episode, in order
+	Restored    uint64        // snapshot restores across all victim restarts
+	Fallbacks   int           // forward-replay fallbacks (loss/corruption signature)
+	Quarantined int           // snapshot files renamed aside
+	Keys        int           // control keys holding a workload-written value at quiescence
+	Converge    time.Duration // virtual time from the first episode to convergence
+	Diverged    bool          // a table did not converge with the control
+	Forked      bool          // two ledgers delivered different batches at one slot
 	Report      string
 }
 
@@ -87,172 +81,98 @@ type CrashSoakSeed struct {
 type CrashSoakResult struct {
 	Options     CrashSoakOptions
 	Seeds       []CrashSoakSeed
-	Divergent   int
+	Divergent   int // seeds that diverged or forked
 	Restored    uint64
 	Fallbacks   int
 	Quarantined int
 }
 
 // RunCrashSoak sweeps the seeds.
-func RunCrashSoak(o CrashSoakOptions) (CrashSoakResult, error) {
+func RunCrashSoak(o CrashSoakOptions) CrashSoakResult {
 	o = o.WithDefaults()
 	res := CrashSoakResult{Options: o}
 	for seed := o.SeedBase; seed < o.SeedBase+int64(o.Seeds); seed++ {
-		sr, err := runCrashSeed(o, seed)
-		if err != nil {
-			return res, fmt.Errorf("crashsoak seed %d: %w", seed, err)
-		}
+		sr := runCrashSeed(o, seed)
 		res.Seeds = append(res.Seeds, sr)
-		if sr.Diverged {
+		if sr.Diverged || sr.Forked {
 			res.Divergent++
 		}
 		res.Restored += sr.Restored
 		res.Fallbacks += sr.Fallbacks
 		res.Quarantined += sr.Quarantined
 	}
-	return res, nil
+	return res
 }
 
-// snapStats is the snapshot slice of one replica's WAL counters.
-type snapStats struct {
-	restored    uint64
-	fallbacks   int
-	quarantined int
-}
-
-func snapStatsOf(st *wal.Store) snapStats {
-	s := st.Stats()
-	return snapStats{restored: s.SnapshotsRestored, fallbacks: s.RestoreFallbacks,
-		quarantined: s.SnapshotsQuarantined}
-}
-
-func runCrashSeed(o CrashSoakOptions, seed int64) (CrashSoakSeed, error) {
+func runCrashSeed(o CrashSoakOptions, seed int64) CrashSoakSeed {
 	sr := CrashSoakSeed{Seed: seed}
 	rng := rand.New(rand.NewSource(seed))
-	const n = 4
-	fss := make([]*wal.MemFS, n)
-	for i := range fss {
-		fss[i] = wal.NewMemFS()
+	d, reps := newDurableDrill(seed, o.Records, o.CheckpointInterval, true)
+	if o.adversary {
+		d.sim.SetAdversary(simnet.RandomAdversary(seed, len(reps), 1))
 	}
-	src := newCrashSource(seed, 600)
-	done := make(chan struct{}, 4096)
-	cl, err := runtime.NewCluster(runtime.ClusterConfig{
-		N: n, Instances: 1, Source: src,
-		Records:            o.Records,
-		CheckpointInterval: o.CheckpointInterval,
-		DataDir:            "crashsoak",
-		FSFor:              func(i int) wal.FS { return fss[i] },
-		OnDone: func(types.Digest) {
-			select {
-			case done <- struct{}{}:
-			default:
-			}
-		},
-	})
-	if err != nil {
-		return sr, err
-	}
-	defer cl.Stop()
 
-	await := func(k int, what string) error {
-		deadline := time.After(60 * time.Second)
-		for i := 0; i < k; i++ {
-			select {
-			case <-done:
-			case <-deadline:
-				return fmt.Errorf("timed out waiting for %s (%d/%d batches)", what, i, k)
-			}
-		}
-		return nil
-	}
-	if err := await(o.CheckpointInterval+4, "warmup commits"); err != nil {
-		return sr, err
-	}
-	// Pace the run so the frontier advances predictably relative to kills
-	// and rejoins (the powercut drill's rationale).
-	src.SetPace(3 * time.Millisecond)
-
-	start := time.Now()
-	for ep := 0; ep < o.Episodes; ep++ {
+	// A wait that runs out of virtual time ends the episodes early.
+	live := d.commits(o.CheckpointInterval + 4)
+	start := d.sim.Now()
+	for ep := 0; live && ep < o.Episodes; ep++ {
 		// Victims are drawn from [1, n): replica 0 is the never-crashed
 		// control every table is compared against.
-		victim := 1 + rng.Intn(n-1)
+		id := types.NodeID(1 + rng.Intn(len(reps)-1))
+		victim := reps[id]
 		fault := crashFaults[rng.Intn(len(crashFaults))]
-		sr.Faults = append(sr.Faults, fmt.Sprintf("r%d:%s", victim, fault))
-		dir := fmt.Sprintf("crashsoak/r%d", victim)
+		sr.Faults = append(sr.Faults, fmt.Sprintf("r%d:%s", id, fault))
 
-		// Wait until the victim has persisted a snapshot (so the fault has
-		// something to corrupt).
-		deadline := time.Now().Add(60 * time.Second)
-		for cl.Stores[victim].Stats().SnapshotsWritten == 0 {
-			if time.Now().After(deadline) {
-				return sr, errors.New("victim never persisted a snapshot")
-			}
-			select {
-			case <-done:
-			case <-time.After(5 * time.Millisecond):
-			}
-		}
-		if fault == faultSyncFail {
-			// Disk starts rejecting fsyncs while the victim is still up: the
-			// next checkpoint's snapshot save (and any append sync) fails
-			// live, then the process dies.
-			fss[victim].FailSyncs(errors.New("crashsoak: injected fsync EIO"))
-			_ = await(o.CheckpointInterval+2, "sync-fail window")
-		}
-		cl.Kill(victim)
-		injectAtRest(fss[victim], dir, fault, rng)
-		// Outage spans ≥2 checkpoint strides so the cluster's stable frontier
-		// passes the victim's resume cut — its rejoin then runs through state
-		// transfer, whose chunk carries the healing snapshot.
-		if err := await(2*o.CheckpointInterval+4, "outage commits"); err != nil {
-			return sr, err
-		}
-		fss[victim].FailSyncs(nil) // the transient disk error clears
-		if err := cl.Restart(victim); err != nil {
-			return sr, err
-		}
-		// Restart opened a fresh WAL store whose counters start at zero, so
-		// its stats right now are exactly what recovery did — no delta against
-		// the pre-kill instance (whose counters died with it).
-		post := snapStatsOf(cl.Stores[victim])
-		sr.Restored += post.restored
-		sr.Fallbacks += post.fallbacks
-		sr.Quarantined += post.quarantined
-		// Let the victim rejoin before the next episode picks a new victim.
-		deadline = time.Now().Add(60 * time.Second)
-		for cl.Replicas[victim].StableHeight() < cl.Replicas[0].StableHeight() {
-			if time.Now().After(deadline) {
-				return sr, fmt.Errorf("victim %d never rejoined after %s", victim, fault)
-			}
-			select {
-			case <-done:
-			case <-time.After(5 * time.Millisecond):
-			}
-		}
-	}
-
-	// Quiesce: drain the source, let every in-flight commit land, then
-	// compare the tables — byte-for-byte, cold keys included.
-	src.SetPace(0)
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if src.Drained() && tablesConverged(cl) {
+		// Wait until the victim persisted a snapshot for the fault to corrupt.
+		if live = d.until(func() bool { return victim.wal.Stats().SnapshotsWritten > 0 }); !live {
 			break
 		}
-		if time.Now().After(deadline) {
-			sr.Diverged = true
-			sr.Report = divergenceReport(cl)
-			sr.Converge = time.Since(start)
-			return sr, nil
+		if fault == faultSyncFail {
+			// Fsyncs fail while the victim is still up: the next snapshot
+			// save (and any append sync) fails live, then the process dies.
+			victim.fs.FailSyncs(errors.New("crashsoak: injected fsync EIO"))
+			d.commits(o.CheckpointInterval + 2)
 		}
-		select {
-		case <-done:
-		case <-time.After(10 * time.Millisecond):
+		d.sim.SetDown(id, true)
+		injectAtRest(victim.fs, victim.dir, fault, rng)
+		// The outage spans ≥2 checkpoint strides, so the rejoin runs through
+		// state transfer, whose chunk carries the healing snapshot.
+		live = d.commits(2*o.CheckpointInterval + 4)
+		victim.fs.FailSyncs(nil) // the transient disk error clears
+		d.sim.Restart(id, victim.build)
+		// The restart opened a fresh WAL store: its counters are exactly what
+		// recovery did.
+		st := victim.wal.Stats()
+		sr.Restored += st.SnapshotsRestored
+		sr.Fallbacks += st.RestoreFallbacks
+		sr.Quarantined += st.SnapshotsQuarantined
+		// Let the victim rejoin before the next episode picks a new victim.
+		live = live && d.until(func() bool { return victim.core.StableHeight() >= reps[0].core.StableHeight() })
+	}
+
+	// Quiesce: spend the load budget of 600 completed batches, stop issuing
+	// batches, let in-flight commits land, then compare tables
+	// byte-for-byte and ledgers by slot.
+	if live {
+		d.until(func() bool { return d.col.BatchesDone >= 600 })
+	}
+	d.sim.SetBatchSource(nil)
+	converged := d.until(func() bool { return tablesConverged(reps) })
+	sr.Converge = d.sim.Now() - start
+	for _, v := range reps[0].exec.Store().Dump() {
+		if len(v) != 64 { // the initial payload is 64 bytes
+			sr.Keys++
 		}
 	}
-	sr.Converge = time.Since(start)
-	return sr, nil
+	if !converged {
+		sr.Diverged = true
+		sr.Report = divergenceReport(reps)
+	}
+	if fork, forked := diffLedgersSparse(seed, d.ledgers); forked {
+		sr.Forked = true
+		sr.Report += fork.Report
+	}
+	return sr
 }
 
 // injectAtRest applies the episode's disk fault to the dead victim's
@@ -260,10 +180,7 @@ func runCrashSeed(o CrashSoakOptions, seed int64) (CrashSoakSeed, error) {
 // before the kill; power-cut models the machine, not the disk.
 func injectAtRest(fsys *wal.MemFS, dir, fault string, rng *rand.Rand) {
 	find := func(prefix string) string {
-		names, err := fsys.ReadDir(dir)
-		if err != nil {
-			return ""
-		}
+		names, _ := fsys.ReadDir(dir)
 		for _, name := range names {
 			if strings.HasPrefix(name, prefix) {
 				return dir + "/" + name
@@ -271,36 +188,27 @@ func injectAtRest(fsys *wal.MemFS, dir, fault string, rng *rand.Rand) {
 		}
 		return ""
 	}
-	switch fault {
-	case faultSnapFlip:
-		if p := find("snap-"); p != "" {
-			fsys.FlipBit(p, rng.Int63n(fsys.Size(p)), uint(rng.Intn(8)))
-		}
-	case faultSnapTruncate:
-		if p := find("snap-"); p != "" {
-			fsys.TruncateFile(p, fsys.Size(p)/2)
-		}
-	case faultSnapRemove:
-		if p := find("snap-"); p != "" {
-			_ = fsys.Remove(p)
-		}
-	case faultSegFlip:
-		if p := find("seg-"); p != "" {
-			fsys.FlipBit(p, rng.Int63n(fsys.Size(p)), uint(rng.Intn(8)))
-		}
-	case faultPowerCut:
+	snap, seg := find("snap-"), find("seg-")
+	switch {
+	case fault == faultSnapFlip && snap != "":
+		fsys.FlipBit(snap, rng.Int63n(fsys.Size(snap)), uint(rng.Intn(8)))
+	case fault == faultSnapTruncate && snap != "":
+		fsys.TruncateFile(snap, fsys.Size(snap)/2)
+	case fault == faultSnapRemove && snap != "":
+		_ = fsys.Remove(snap)
+	case fault == faultSegFlip && seg != "":
+		fsys.FlipBit(seg, rng.Int63n(fsys.Size(seg)), uint(rng.Intn(8)))
+	case fault == faultPowerCut:
 		fsys.Crash()
 	}
 }
 
 // tablesConverged reports whether every replica's table byte-matches the
 // control (replica 0): same applied count, same record fingerprint.
-func tablesConverged(cl *runtime.Cluster) bool {
-	want := cl.Execs[0].Store().Fingerprint()
-	applied := cl.Execs[0].Store().Applied()
-	for i := 1; i < len(cl.Execs); i++ {
-		if cl.Execs[i].Store().Applied() != applied ||
-			cl.Execs[i].Store().Fingerprint() != want {
+func tablesConverged(reps []*durable) bool {
+	control := reps[0].exec.Store()
+	for _, r := range reps[1:] {
+		if st := r.exec.Store(); st.Applied() != control.Applied() || st.Fingerprint() != control.Fingerprint() {
 			return false
 		}
 	}
@@ -309,51 +217,21 @@ func tablesConverged(cl *runtime.Cluster) bool {
 
 // divergenceReport renders which replicas and keys disagree with the
 // control — the forensic dump a failed soak leaves behind.
-func divergenceReport(cl *runtime.Cluster) string {
+func divergenceReport(reps []*durable) string {
 	var b strings.Builder
-	control := cl.Execs[0].Store().Dump()
-	fmt.Fprintf(&b, "control applied=%d records=%d\n", cl.Execs[0].Store().Applied(), len(control))
-	for i := 1; i < len(cl.Execs); i++ {
-		st := cl.Execs[i].Store()
-		if st.Fingerprint() == cl.Execs[0].Store().Fingerprint() && st.Applied() == cl.Execs[0].Store().Applied() {
-			continue
-		}
-		dump := st.Dump()
-		fmt.Fprintf(&b, "replica %d applied=%d records=%d; first mismatches:", i, st.Applied(), len(dump))
-		shown := 0
-		for k, v := range control {
-			if shown >= 5 {
-				break
-			}
-			if string(dump[k]) != string(v) {
-				fmt.Fprintf(&b, " key %d (%d vs %d bytes)", k, len(dump[k]), len(v))
-				shown++
+	control := reps[0].exec.Store().Dump()
+	for i, r := range reps {
+		dump := r.exec.Store().Dump()
+		var keys []uint64
+		for k := uint64(0); k < uint64(len(control)); k++ {
+			if string(dump[k]) != string(control[k]) {
+				keys = append(keys, k)
 			}
 		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "replica %d applied=%d: %d keys differ from the control, first %v\n",
+			i, r.exec.Store().Applied(), len(keys), keys[:min(len(keys), 5)])
 	}
 	return b.String()
-}
-
-// crashSource is the soak's seeded, paceable FIFO batch source.
-type crashSource struct {
-	pcSource
-}
-
-func newCrashSource(seed int64, batches int) *crashSource {
-	wl := ycsb.NewWorkload(seed, types.ClientIDBase, 1000, 16)
-	s := &crashSource{}
-	for j := 0; j < batches; j++ {
-		s.q = append(s.q, wl.NextBatch(5))
-	}
-	return s
-}
-
-// Drained reports whether every queued batch has been handed out.
-func (s *crashSource) Drained() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.q) == 0
 }
 
 // CrashSoakTable renders the soak result.
@@ -361,20 +239,23 @@ func CrashSoakTable(res CrashSoakResult) Table {
 	t := Table{ID: "crashsoak",
 		Title: fmt.Sprintf("crash/disk-fault soak: %d seeds × %d kill-9 episodes, checkpoint every %d",
 			res.Options.Seeds, res.Options.Episodes, res.Options.CheckpointInterval),
-		Headers: []string{"seed", "episodes (victim:fault)", "restored", "fallbacks", "quarantined", "converged", "in"}}
+		Headers: []string{"seed", "episodes (victim:fault)", "restored", "fallbacks", "quarantined",
+			"written keys", "converged", "in (virtual ms)"}}
 	for _, s := range res.Seeds {
 		conv := "yes"
-		if s.Diverged {
+		if s.Forked {
+			conv = "FORKED"
+		} else if s.Diverged {
 			conv = "DIVERGED"
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", s.Seed), strings.Join(s.Faults, " "),
-			fmt.Sprintf("%d", s.Restored), fmt.Sprintf("%d", s.Fallbacks),
-			fmt.Sprintf("%d", s.Quarantined), conv, lat(s.Converge)})
+			fmt.Sprintf("%d", s.Restored), fmt.Sprintf("%d", s.Fallbacks), fmt.Sprintf("%d", s.Quarantined),
+			fmt.Sprintf("%d/%d", s.Keys, res.Options.Records), conv, lat(s.Converge)})
 	}
 	t.Rows = append(t.Rows, []string{"total",
 		fmt.Sprintf("%d diverged", res.Divergent),
 		fmt.Sprintf("%d", res.Restored), fmt.Sprintf("%d", res.Fallbacks),
-		fmt.Sprintf("%d", res.Quarantined), "", ""})
+		fmt.Sprintf("%d", res.Quarantined), "", "", ""})
 	return t
 }

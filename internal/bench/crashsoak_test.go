@@ -1,26 +1,26 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 )
 
-// TestCrashSoakNoDivergence: the PR's headline invariant as a regression
-// bar. Across seeded kill-9/disk-fault/restart schedules, every restarted
+// TestCrashSoakNoDivergence: the headline invariant as a regression bar.
+// Across seeded kill-9/disk-fault/restart schedules, every restarted
 // replica's table converges byte-for-byte with the never-crashed control —
 // and the sweep must exercise both recovery paths: clean snapshot restores
 // AND the corruption signature (fallback or quarantine). A soak that only
-// ever saw the happy path proves nothing about the fault matrix.
+// ever saw the happy path proves nothing about the fault matrix. The
+// uniform workload must also have written at least 200 of the 256 keys, so
+// the comparison covers cold keys for real.
 func TestCrashSoakNoDivergence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time chaos soak")
-	}
-	res, err := RunCrashSoak(CrashSoakOptions{Seeds: 6, Episodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := RunCrashSoak(CrashSoakOptions{})
 	for _, s := range res.Seeds {
-		if s.Diverged {
+		if s.Diverged || s.Forked {
 			t.Errorf("seed %d diverged after %v:\n%s", s.Seed, s.Faults, s.Report)
+		}
+		if s.Keys < 200 {
+			t.Errorf("seed %d: only %d of %d keys hold a workload-written value", s.Seed, s.Keys, res.Options.Records)
 		}
 	}
 	if res.Divergent != 0 {
@@ -32,4 +32,36 @@ func TestCrashSoakNoDivergence(t *testing.T) {
 	if res.Fallbacks+res.Quarantined == 0 {
 		t.Fatal("soak never exercised the corruption/loss path")
 	}
+}
+
+// TestCrashSoakDeterministic: a crash-soak seed is a pure function of the
+// seed — faults, recovery tallies, key coverage and the virtual time to
+// convergence all replay exactly, so a failing seed can be rerun.
+func TestCrashSoakDeterministic(t *testing.T) {
+	o := CrashSoakOptions{Seeds: 3}
+	a, b := RunCrashSoak(o), RunCrashSoak(o)
+	if !reflect.DeepEqual(a, b) {
+		ta, tb := CrashSoakTable(a), CrashSoakTable(b)
+		t.Fatalf("crash soak not deterministic:\n--- run 1 ---\n%s--- run 2 ---\n%s", ta.String(), tb.String())
+	}
+}
+
+// TestCrashSoakUnderAdversary: the crash soak composed with the safety
+// drill's scheduler adversary (simnet.RandomAdversary drop/delay/partition
+// rules, on for the whole run). Kill-9s, disk faults and WAL restarts on
+// top of targeted message faults must never fork two ledgers. Convergence
+// is not asserted: the drop rules never lift, so some seeds starve, like
+// the safety drill's idle seeds.
+func TestCrashSoakUnderAdversary(t *testing.T) {
+	res := RunCrashSoak(CrashSoakOptions{adversary: true})
+	unconverged := 0
+	for _, s := range res.Seeds {
+		if s.Forked {
+			t.Errorf("seed %d forked under the adversary after %v:\n%s", s.Seed, s.Faults, s.Report)
+		}
+		if s.Diverged {
+			unconverged++
+		}
+	}
+	t.Logf("%d of %d seeds did not converge (starved by the adversary)", unconverged, len(res.Seeds))
 }

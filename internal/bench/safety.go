@@ -14,15 +14,12 @@ import (
 
 // This file is the safety drill: a seeded adversary sweep that checks
 // ledger agreement block-for-block. Each seed derives a deterministic
-// schedule profile (simnet.RandomAdversary: targeted message delay, drop,
-// and partition per pair/instance/view/kind, optionally composed with
-// protocol-level equivocation) and replays bit-for-bit on any host — the
-// PR 4 divergence recipe (~1-in-10 `-race` runs at n=4, m=4) as an
-// always-reproducible drill instead of a flake. Pointed at the legacy
-// resolution rules (SafetyDrillOptions.Legacy) the same harness is the
-// negative control for the A3 fork-commit path the Lemma 3.4 re-derivation
-// closed; see core/resolution.go and TestLegacyA3ForksLedger for the
-// message-level pin.
+// schedule (simnet.RandomAdversary: targeted delay, drop and partition per
+// pair/instance/view/kind, optionally with protocol-level equivocation) and
+// replays bit-for-bit on any host. Pointed at the legacy resolution rules
+// (SafetyDrillOptions.Legacy) it is the negative control for the A3
+// fork-commit path the Lemma 3.4 re-derivation closed; TestLegacyA3ForksLedger
+// pins it at the message level.
 
 // SafetyDrillOptions parameterizes one sweep.
 type SafetyDrillOptions struct {
@@ -78,36 +75,16 @@ type SafetyDrillResult struct {
 	Idle      int    // seeds whose adversary prevented any delivery
 }
 
-// runSafetySeed executes one seeded drill and returns the per-replica
-// delivered sequences.
-func runSafetySeed(o SafetyDrillOptions, seed int64) ([][]SlotRecord, uint64) {
+// runSafetySeed executes one seeded drill.
+func runSafetySeed(o SafetyDrillOptions, seed int64) *drill {
 	n, m := o.N, o.Instances
 	f := (n - 1) / 3
-
-	scfg := simnet.DefaultConfig(n)
-	scfg.Seed = seed
-	scfg.BaseHandlerCost = time.Microsecond
-	sim := simnet.New(scfg)
-	sim.SetAdversary(simnet.RandomAdversary(seed, n, m))
-
-	ledgers := make([][]SlotRecord, n)
-	sim.SetDeliverHook(func(node types.NodeID, c types.Commit) {
-		if int(node) < n && c.Batch != nil {
-			ledgers[node] = append(ledgers[node], SlotRecord{Instance: c.Instance, View: c.View, Batch: c.Batch.ID})
-		}
-	})
-
-	wl := loadgen.DefaultWorkload(o.BatchSize)
-	wl.Seed = seed
 	streams := m
 	if o.Dissem {
 		streams = n // one dissemination lane per origin replica
 	}
-	src := loadgen.NewSource(streams, 4, wl)
-	sim.SetBatchSource(src)
-	col := loadgen.NewCollector(sim.Context(simnet.ClientNode), src, f, 0)
-	col.MeasureEnd = time.Hour
-	sim.SetProtocol(simnet.ClientNode, col)
+	d := newDrill(n, streams, loadgen.DefaultWorkload(o.BatchSize), seed)
+	d.sim.SetAdversary(simnet.RandomAdversary(seed, n, m))
 
 	// Byzantine composition: every third seed makes the last replica
 	// equivocate (conflicting proposals and claims toward f victims) on
@@ -124,11 +101,7 @@ func runSafetySeed(o SafetyDrillOptions, seed int64) ([][]SlotRecord, uint64) {
 	}
 	for i := 0; i < n; i++ {
 		id := types.NodeID(i)
-		cfg := core.DefaultConfig(n, m)
-		cfg.InitialRecordingTimeout = 20 * time.Millisecond
-		cfg.InitialCertifyTimeout = 20 * time.Millisecond
-		cfg.MinTimeout = 5 * time.Millisecond
-		cfg.Pacemaker = pm
+		cfg := drillConfig(n, m, pm)
 		cfg.UnsafeLegacyResolution = o.Legacy
 		if o.Dissem {
 			cfg.Dissem = dissem.New(dissem.Config{N: n, F: f, CodeK: o.DissemCode})
@@ -136,11 +109,11 @@ func runSafetySeed(o SafetyDrillOptions, seed int64) ([][]SlotRecord, uint64) {
 		if equivocator && i == n-1 {
 			cfg.Behavior = core.Behavior{Mode: core.AttackEquivocate, Victims: victims}
 		}
-		sim.SetProtocol(id, core.New(sim.Context(id), cfg))
+		d.sim.SetProtocol(id, core.New(d.sim.Context(id), cfg))
 	}
-	sim.Start()
-	sim.Run(o.Duration)
-	return ledgers, col.BatchesDone
+	d.sim.Start()
+	d.sim.Run(o.Duration)
+	return d
 }
 
 // diffLedgers finds the first position where any replica's delivered
@@ -195,43 +168,29 @@ func dumpDivergence(seed int64, pos, a, b int, ledgers [][]SlotRecord) string {
 // RunSafetyDrill sweeps Seeds distinct adversary schedules and reports
 // every seed whose honest ledgers diverged block-for-block.
 func RunSafetyDrill(o SafetyDrillOptions) SafetyDrillResult {
-	if o.N == 0 {
-		o.N = 4
-	}
-	if o.Instances == 0 {
-		o.Instances = 4
-	}
-	if o.Seeds == 0 {
-		o.Seeds = 50
-	}
-	if o.SeedBase == 0 {
-		o.SeedBase = 1
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 5
-	}
-	if o.Duration == 0 {
-		o.Duration = 1500 * time.Millisecond
-	}
+	orDefault(&o.N, 4)
+	orDefault(&o.Instances, 4)
+	orDefault(&o.Seeds, 50)
+	orDefault(&o.SeedBase, 1)
+	orDefault(&o.BatchSize, 5)
+	orDefault(&o.Duration, 1500*time.Millisecond)
 	res := SafetyDrillResult{Options: o}
 	for i := 0; i < o.Seeds; i++ {
 		seed := o.SeedBase + int64(i)
 		res.Seeds = append(res.Seeds, seed)
-		ledgers, done := runSafetySeed(o, seed)
-		for _, l := range ledgers {
-			res.Delivered += uint64(len(l))
-		}
-		if done == 0 {
+		d := runSafetySeed(o, seed)
+		res.Delivered += d.delivered()
+		if d.col.BatchesDone == 0 {
 			res.Idle++
 		}
 		skip := -1
 		if !o.NoEquivocation && seed%3 == 0 {
 			skip = o.N - 1 // the equivocator is the configured fault
 		}
-		if pos, a, b, div := diffLedgers(ledgers, skip); div {
+		if pos, a, b, div := diffLedgers(d.ledgers, skip); div {
 			res.Divergent = append(res.Divergent, Divergence{
 				Seed: seed, Position: pos,
-				Report: dumpDivergence(seed, pos, a, b, ledgers),
+				Report: dumpDivergence(seed, pos, a, b, d.ledgers),
 			})
 		}
 	}

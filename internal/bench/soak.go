@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -13,19 +14,16 @@ import (
 	"spotless/internal/types"
 )
 
-// This file is the soak/chaos harness — the measurement side of the
-// view-synchronizer bake-off. Where the safety drill answers "did we
-// fork?", the soak answers "how fast did we heal?": each seeded run
-// installs one chaos profile (simnet.InstallChaos — churning partitions,
-// gray failures, timer skew) and measures, per fault episode, the
-// time-to-resync (fault heal → first post-heal commit observed by every
-// replica) and the commits-lost spread (how far apart replica ledgers were
-// at the moment of heal). The sweep crosses fault profiles with pacemaker
-// arms (core.PacemakerArms), so the paper's adaptive synchronizer is
-// measured head-to-head against the Cogsworth-style relay and
-// Lumiere-style doubling alternatives under identical fault schedules:
-// everything is seeded, so a (profile, arm, seed) cell reproduces
-// bit-for-bit on any host.
+// This file is the soak/chaos drill — the measurement side of the
+// view-synchronizer bake-off. Where the safety drill asks "did we fork?",
+// the soak asks "how fast did we heal?": each seeded run installs one chaos
+// profile (simnet.InstallChaos — churning partitions, gray failures, timer
+// skew) and measures, per fault episode, the time-to-resync (heal → first
+// post-heal commit at every victim) and the commits-lost spread at heal
+// time. The sweep crosses profiles with pacemaker arms (core.PacemakerArms:
+// the paper's adaptive timers, a Cogsworth-style relay, Lumiere-style
+// doubling) under identical seeded fault schedules, so a (profile, arm,
+// seed) cell reproduces bit-for-bit on any host.
 
 // SoakOptions parameterizes one bake-off sweep.
 type SoakOptions struct {
@@ -80,34 +78,21 @@ type SoakResult struct {
 	Cells   []SoakCell
 }
 
-// runSoakSeed executes one (profile, pacemaker, seed) run and measures its
-// fault episodes.
-func runSoakSeed(o SoakOptions, profile, arm string, seed int64) ([]FaultOutcome, [][]SlotRecord, uint64, error) {
+// runSoakSeed executes one (profile, pacemaker, seed) run and returns it
+// with its fault plan.
+func runSoakSeed(o SoakOptions, profile, arm string, seed int64) (*drill, []simnet.FaultRecord, error) {
 	n, m := o.N, o.Instances
-	f := (n - 1) / 3
-
-	scfg := simnet.DefaultConfig(n)
-	scfg.Seed = seed
-	scfg.BaseHandlerCost = time.Microsecond
-	sim := simnet.New(scfg)
+	d := newDrill(n, m, loadgen.DefaultWorkload(o.BatchSize), seed)
 	pm, err := core.PacemakerByName(arm)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-
-	mkCfg := func() core.Config {
-		cfg := core.DefaultConfig(n, m)
-		cfg.InitialRecordingTimeout = 20 * time.Millisecond
-		cfg.InitialCertifyTimeout = 20 * time.Millisecond
-		cfg.MinTimeout = 5 * time.Millisecond
-		cfg.Pacemaker = pm
-		// Checkpointing on: the soak's faults leave replicas hundreds of
-		// commits behind, and state transfer is the designed recovery path
-		// for that (one-proposal-per-Ask backfill alone never drains it).
-		cfg.CheckpointInterval = 128
-		return cfg
-	}
-	plan, err := sim.InstallChaos(simnet.ChaosConfig{
+	// Checkpointing on: the soak's faults leave replicas hundreds of commits
+	// behind, and state transfer is the designed recovery path for that
+	// (one-proposal-per-Ask backfill alone never drains it).
+	cfg := drillConfig(n, m, pm)
+	cfg.CheckpointInterval = 128
+	plan, err := d.sim.InstallChaos(simnet.ChaosConfig{
 		Profile: profile,
 		Seed:    seed,
 		N:       n,
@@ -116,48 +101,21 @@ func runSoakSeed(o SoakOptions, profile, arm string, seed int64) ([]FaultOutcome
 		// Crash episodes rebuild the victim amnesiac, with the same
 		// constructor used at setup; it rejoins through state transfer.
 		Restart: func(id types.NodeID) {
-			sim.Restart(id, func(ctx protocol.Context) protocol.Protocol {
-				return core.New(ctx, mkCfg())
+			d.sim.Restart(id, func(ctx protocol.Context) protocol.Protocol {
+				return core.New(ctx, cfg)
 			})
 		},
 	})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-
-	ledgers := make([][]SlotRecord, n)
-	times := make([][]time.Duration, n) // per-replica commit timestamps, ascending
-	sim.SetDeliverHook(func(node types.NodeID, c types.Commit) {
-		if int(node) < n && c.Batch != nil {
-			ledgers[node] = append(ledgers[node], SlotRecord{Instance: c.Instance, View: c.View, Batch: c.Batch.ID})
-			times[node] = append(times[node], sim.Now())
-		}
-	})
-
-	wl := loadgen.DefaultWorkload(o.BatchSize)
-	wl.Seed = seed
-	src := loadgen.NewSource(m, 4, wl)
-	sim.SetBatchSource(src)
-	col := loadgen.NewCollector(sim.Context(simnet.ClientNode), src, f, 0)
-	col.MeasureEnd = time.Hour
-	sim.SetProtocol(simnet.ClientNode, col)
-
 	for i := 0; i < n; i++ {
 		id := types.NodeID(i)
-		sim.SetProtocol(id, core.New(sim.Context(id), mkCfg()))
+		d.sim.SetProtocol(id, core.New(d.sim.Context(id), cfg))
 	}
-	sim.Start()
-	sim.Run(o.Duration)
-
-	outcomes := make([]FaultOutcome, 0, len(plan))
-	for _, rec := range plan {
-		outcomes = append(outcomes, measureFault(rec, times, seed))
-	}
-	var blocks uint64
-	for _, l := range ledgers {
-		blocks += uint64(len(l))
-	}
-	return outcomes, ledgers, blocks, nil
+	d.sim.Start()
+	d.sim.Run(o.Duration)
+	return d, plan, nil
 }
 
 // measureFault derives one episode's outcome from the per-replica commit
@@ -170,17 +128,10 @@ func runSoakSeed(o SoakOptions, profile, arm string, seed int64) ([]FaultOutcome
 func measureFault(rec simnet.FaultRecord, times [][]time.Duration, seed int64) FaultOutcome {
 	out := FaultOutcome{Seed: seed, Record: rec}
 	atHeal := make([]int, len(times))
-	maxAt, minAt := 0, int(^uint(0)>>1)
 	for i, ts := range times {
 		atHeal[i] = sort.Search(len(ts), func(j int) bool { return ts[j] > rec.Heal })
-		if atHeal[i] > maxAt {
-			maxAt = atHeal[i]
-		}
-		if atHeal[i] < minAt {
-			minAt = atHeal[i]
-		}
 	}
-	out.Lost = maxAt - minAt
+	out.Lost = slices.Max(atHeal) - slices.Min(atHeal)
 	var resyncAt time.Duration
 	for _, v := range rec.Victims {
 		ts := times[v]
@@ -200,24 +151,12 @@ func measureFault(rec simnet.FaultRecord, times [][]time.Duration, seed int64) F
 // RunSoak sweeps Profiles × Pacemakers × Seeds and aggregates per-cell
 // resync percentiles, loss means, and divergence checks.
 func RunSoak(o SoakOptions) (SoakResult, error) {
-	if o.N == 0 {
-		o.N = 4
-	}
-	if o.Instances == 0 {
-		o.Instances = 4
-	}
-	if o.Seeds == 0 {
-		o.Seeds = 5
-	}
-	if o.SeedBase == 0 {
-		o.SeedBase = 1
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 5
-	}
-	if o.Duration == 0 {
-		o.Duration = 3 * time.Second
-	}
+	orDefault(&o.N, 4)
+	orDefault(&o.Instances, 4)
+	orDefault(&o.Seeds, 5)
+	orDefault(&o.SeedBase, 1)
+	orDefault(&o.BatchSize, 5)
+	orDefault(&o.Duration, 3*time.Second)
 	if len(o.Profiles) == 0 {
 		o.Profiles = []string{simnet.ProfilePartitions, simnet.ProfileGray, simnet.ProfileSkew}
 	}
@@ -236,14 +175,16 @@ func RunSoak(o SoakOptions) (SoakResult, error) {
 			cell := SoakCell{Profile: profile, Pacemaker: arm}
 			for i := 0; i < o.Seeds; i++ {
 				seed := o.SeedBase + int64(i)
-				outcomes, ledgers, blocks, err := runSoakSeed(o, profile, arm, seed)
+				d, plan, err := runSoakSeed(o, profile, arm, seed)
 				if err != nil {
 					return SoakResult{}, err
 				}
-				cell.Outcomes = append(cell.Outcomes, outcomes...)
-				cell.Blocks += blocks / uint64(o.N)
-				if d, div := diffLedgersSparse(seed, ledgers); div {
-					cell.Divergent = append(cell.Divergent, d)
+				for _, rec := range plan {
+					cell.Outcomes = append(cell.Outcomes, measureFault(rec, d.times, seed))
+				}
+				cell.Blocks += d.delivered() / uint64(o.N)
+				if dv, div := diffLedgersSparse(seed, d.ledgers); div {
+					cell.Divergent = append(cell.Divergent, dv)
 				}
 			}
 			var resyncs []time.Duration
@@ -257,7 +198,7 @@ func RunSoak(o SoakOptions) (SoakResult, error) {
 					cell.Unhealed++
 				}
 			}
-			sort.Slice(resyncs, func(i, j int) bool { return resyncs[i] < resyncs[j] })
+			slices.Sort(resyncs)
 			cell.ResyncP50 = percentileDur(resyncs, 0.50)
 			cell.ResyncP99 = percentileDur(resyncs, 0.99)
 			if cell.Faults > 0 {
@@ -276,27 +217,20 @@ func RunSoak(o SoakOptions) (SoakResult, error) {
 // (view, instance) on every correct replica, so agreement reduces to: any
 // two replicas that both delivered a slot delivered the same batch there.
 func diffLedgersSparse(seed int64, ledgers [][]SlotRecord) (Divergence, bool) {
-	type slotKey struct {
-		inst int32
-		view types.View
-	}
-	ref := make(map[slotKey]types.Digest)
-	refOwner := make(map[slotKey]int)
+	ref := make(map[SlotRecord]types.Digest) // slot (batch zeroed) → first batch delivered there
+	owner := make(map[SlotRecord]int)
 	for i, l := range ledgers {
 		for p, rec := range l {
-			k := slotKey{rec.Instance, rec.View}
-			if prev, ok := ref[k]; ok {
-				if prev != rec.Batch {
-					return Divergence{
-						Seed: seed, Position: p,
-						Report: fmt.Sprintf("seed %d: replicas %d and %d delivered different batches at inst=%d view=%d (%x vs %x)\n",
-							seed, refOwner[k], i, rec.Instance, rec.View, prev[:6], rec.Batch[:6]),
-					}, true
-				}
-				continue
+			k := SlotRecord{Instance: rec.Instance, View: rec.View}
+			if prev, ok := ref[k]; !ok {
+				ref[k], owner[k] = rec.Batch, i
+			} else if prev != rec.Batch {
+				return Divergence{
+					Seed: seed, Position: p,
+					Report: fmt.Sprintf("seed %d: replicas %d and %d delivered different batches at inst=%d view=%d (%x vs %x)\n",
+						seed, owner[k], i, rec.Instance, rec.View, prev[:6], rec.Batch[:6]),
+				}, true
 			}
-			ref[k] = rec.Batch
-			refOwner[k] = i
 		}
 	}
 	return Divergence{}, false
