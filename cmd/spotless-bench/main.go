@@ -37,9 +37,9 @@ func main() {
 		safetyCode   = flag.Int("safety-dissem-code", 0, "run the -safety-dissem drill with erasure-coded dissemination using this many data chunks (0 = full push; implies -safety-dissem)")
 		safetyPace   = flag.String("safety-pacemaker", "", "view-synchronizer arm for the -safety-drill (spotless, relay, doubling; empty = spotless)")
 
-		powercut = flag.Bool("powercut", false, "run the power-cut drill on the simulator with the real executor and WAL (kill -9 a durable replica under load, restart, meter the rejoin) against a memory-only control, and exit non-zero unless the durable replica restored its execution snapshot, answered every pre-checkpoint-key read correctly at restart with zero blocks replayed below the snapshot anchor, and transferred strictly less than the control")
+		powercut = flag.Bool("powercut", false, "run the power-cut drill on the simulator with the real executor and WAL (kill -9 a durable replica under load, restart it with the client paused, meter the rejoin) against a memory-only control, and exit non-zero unless the durable replica restored its execution snapshot, answered every pre-checkpoint-key read correctly at restart with zero blocks replayed below the snapshot anchor, and transferred strictly less than the control")
 
-		crashSoak = flag.Int("crashsoak", 0, "run the crash/disk-fault chaos soak on the simulator with the real executor and WAL over this many seeds (kill -9 + snapshot/segment faults between checkpoints, restart, compare every table byte-for-byte with a never-crashed control) and exit non-zero on any divergence")
+		crashSoak = flag.Int("crashsoak", 0, "run the crash/disk-fault chaos soak on the simulator with the real executor and WAL over this many seeds (kill -9 + snapshot/segment faults between checkpoints, restart, compare every table byte-for-byte with a never-crashed control) and exit non-zero on any divergence or any seed whose episodes stalled")
 
 		soak      = flag.Int("soak", 0, "run the seeded soak/chaos bake-off over this many seeds per (fault profile × pacemaker arm) cell — time-to-resync p50/p99 and commits-lost-per-fault on simulator virtual time — and exit non-zero on any divergence")
 		soakPace  = flag.String("pacemaker", "", "comma-separated view-synchronizer arms for the -soak sweep (empty = all of spotless, relay, doubling)")
@@ -102,6 +102,16 @@ func main() {
 				}
 			}
 			os.Exit(1)
+		}
+		if res.Stalled > 0 {
+			fmt.Fprintf(os.Stderr, "CRASHSOAK FAILED: %d of %d seeds stalled before finishing their episodes\n",
+				res.Stalled, len(res.Seeds))
+			for _, s := range res.Seeds {
+				if s.Stalled {
+					fmt.Fprintf(os.Stderr, "seed %d (%v):\n%s", s.Seed, s.Faults, s.Report)
+				}
+			}
+			os.Exit(2)
 		}
 		if res.Restored == 0 || res.Fallbacks+res.Quarantined == 0 {
 			fmt.Fprintln(os.Stderr, "CRASHSOAK FAILED: the sweep did not exercise both recovery paths (clean restore AND corruption fallback)")

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -16,8 +17,8 @@ import (
 func TestCrashSoakNoDivergence(t *testing.T) {
 	res := RunCrashSoak(CrashSoakOptions{})
 	for _, s := range res.Seeds {
-		if s.Diverged || s.Forked {
-			t.Errorf("seed %d diverged after %v:\n%s", s.Seed, s.Faults, s.Report)
+		if s.Diverged || s.Forked || s.Stalled {
+			t.Errorf("seed %d diverged or stalled after %v:\n%s", s.Seed, s.Faults, s.Report)
 		}
 		if s.Keys < 200 {
 			t.Errorf("seed %d: only %d of %d keys hold a workload-written value", s.Seed, s.Keys, res.Options.Records)
@@ -51,7 +52,9 @@ func TestCrashSoakDeterministic(t *testing.T) {
 // rules, on for the whole run). Kill-9s, disk faults and WAL restarts on
 // top of targeted message faults must never fork two ledgers. Convergence
 // is not asserted: the drop rules never lift, so some seeds starve, like
-// the safety drill's idle seeds.
+// the safety drill's idle seeds. A starved seed may stall before its first
+// kill, so at least half the seeds must finish every episode for the
+// no-fork result to cover real kill/restart cycles.
 func TestCrashSoakUnderAdversary(t *testing.T) {
 	res := RunCrashSoak(CrashSoakOptions{adversary: true})
 	unconverged := 0
@@ -63,5 +66,22 @@ func TestCrashSoakUnderAdversary(t *testing.T) {
 			unconverged++
 		}
 	}
-	t.Logf("%d of %d seeds did not converge (starved by the adversary)", unconverged, len(res.Seeds))
+	if done := len(res.Seeds) - res.Stalled; 2*done < len(res.Seeds) {
+		t.Errorf("only %d of %d seeds finished their kill/restart episodes", done, len(res.Seeds))
+	}
+	t.Logf("%d of %d seeds stalled, %d did not converge (starved by the adversary)",
+		res.Stalled, len(res.Seeds), unconverged)
+}
+
+// TestCrashSoakFlagsStall: a seed whose waits run out of virtual time is
+// flagged, not passed. A checkpoint stride far beyond the warmup's reach
+// stalls the seed before its first kill, so it records no fault.
+func TestCrashSoakFlagsStall(t *testing.T) {
+	res := RunCrashSoak(CrashSoakOptions{Seeds: 1, CheckpointInterval: 1 << 20})
+	if res.Stalled != 1 || !res.Seeds[0].Stalled {
+		t.Fatalf("stalled seeds = %d, want 1:\n%s", res.Stalled, res.Seeds[0].Report)
+	}
+	if s := res.Seeds[0]; len(s.Faults) != 0 || !strings.Contains(s.Report, "warmup") {
+		t.Fatalf("faults %v, report %q: want no fault and a warmup stall", s.Faults, s.Report)
+	}
 }

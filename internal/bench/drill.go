@@ -78,14 +78,6 @@ func drillConfig(n, m int, pm core.PacemakerFactory) core.Config {
 	return cfg
 }
 
-// orDefault sets *p to def when *p holds the zero value.
-func orDefault[T comparable](p *T, def T) {
-	var zero T
-	if *p == zero {
-		*p = def
-	}
-}
-
 // drillWait bounds every wait of the durability drills, in virtual time.
 const drillWait = 5 * time.Second
 
@@ -117,6 +109,9 @@ type durable struct {
 	wal   *wal.Store
 	core  *core.Replica
 	build func(ctx protocol.Context) protocol.Protocol
+	// rejected counts restarts whose persisted resume state ApplyResume
+	// refused; such a replica silently rejoins from scratch.
+	rejected int
 }
 
 // newDurableDrill starts the durability drills' cluster: n = 4, one
@@ -152,7 +147,9 @@ func newDurableDrill(seed int64, records uint64, interval int, withWAL bool) (*d
 			}
 			c := cfg
 			c.Host = r.exec
-			_ = runtime.ApplyResume(res, snap, &c, ctx.Crypto(), r.exec)
+			if runtime.ApplyResume(res, snap, &c, ctx.Crypto(), r.exec) != nil {
+				r.rejected++
+			}
 			r.core = core.New(execCtx{Context: ctx, d: d, exec: r.exec}, c)
 			return r.core
 		}

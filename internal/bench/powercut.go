@@ -27,12 +27,20 @@ type PowerCutOptions struct {
 }
 
 // WithDefaults resolves the zero values. The defaults place the cut a few
-// commits past a stable checkpoint and the outage well inside the next
-// stride: the regime where local disk replaces network transfer entirely.
+// commits past a stabilized checkpoint and keep the outage well inside the
+// next stride, so the victim's replayed head stays at or above the stable
+// frontier while it rejoins — the regime where local disk replaces network
+// transfer entirely.
 func (o PowerCutOptions) WithDefaults() PowerCutOptions {
-	orDefault(&o.CheckpointInterval, 32)
-	orDefault(&o.Warmup, 40)
-	orDefault(&o.Outage, 6)
+	if o.CheckpointInterval == 0 {
+		o.CheckpointInterval = 32
+	}
+	if o.Warmup == 0 {
+		o.Warmup = 40
+	}
+	if o.Outage == 0 {
+		o.Outage = 6
+	}
 	return o
 }
 
@@ -51,10 +59,10 @@ type PowerCutArm struct {
 	BelowAnchor  int           // replayed ledger blocks below the snapshot anchor (must be 0)
 }
 
-// RunPowerCut runs the kill-9-under-load drill on the simulator twice: with
-// a durable WAL (warm: restart replays local segments, fetches only the
-// missing suffix) and memory-only (cold: restart re-downloads the retained
-// chain from the stable height).
+// RunPowerCut runs the kill-9-under-load drill on the simulator twice — once
+// with a durable WAL-backed ledger (warm: restart replays local segments and
+// fetches only the missing suffix) and once memory-only (cold: restart is
+// empty and re-downloads the whole retained chain from the stable height).
 func RunPowerCut(o PowerCutOptions) (warm, cold PowerCutArm, err error) {
 	o = o.WithDefaults()
 	if warm, err = powerCutArm(true, o); err != nil {
@@ -114,25 +122,32 @@ func powerCutArm(durable bool, o PowerCutOptions) (PowerCutArm, error) {
 	start := d.sim.Now()
 	d.sim.Restart(victim, r.build)
 	if durable {
+		if r.rejected > 0 {
+			return arm, fmt.Errorf("powercut: the durable replica's resume state was rejected at restart")
+		}
 		st := r.wal.Stats()
 		arm.Replayed = st.Replayed
 		arm.SnapRestored = st.SnapshotsRestored > 0
-		// Forward replay must start at the snapshot anchor: a ledger base
-		// below it means pre-cut blocks were re-executed.
+		// Forward replay must start at the snapshot anchor, not below it: the
+		// restored ledger base sitting under the anchor would mean pre-cut
+		// blocks were re-executed instead of served from the attested table.
 		if base := r.exec.Ledger().Snapshot().Height; base < anchorH {
 			arm.BelowAnchor = int(anchorH - base)
 		}
 	}
-	// Read pre-checkpoint keys before the victim handles a message, so the
-	// answers are what restart alone produced. Keys whose cut value is not
-	// the 64-byte initial payload were written before the checkpoint: the
-	// attested state a durable restart serves and a cold one cannot.
+	// Read pre-checkpoint keys immediately after restart, before the victim
+	// handles a single message: whatever answers now is what restart alone
+	// produced. Keys whose value in the cut snapshot is workload-sized (not
+	// the 64-byte initial payload) were last written before the checkpoint —
+	// the attested state a durable restart serves and a cold one cannot.
+	store := r.exec.Store()
 	for k, v := range atCut.Records {
-		if len(v) != 64 {
-			arm.PreKeys++
-			if string(r.exec.Store().Read(k)) != string(v) {
-				arm.PreKeyMisses++
-			}
+		if len(v) == 64 {
+			continue
+		}
+		arm.PreKeys++
+		if string(store.Read(k)) != string(v) {
+			arm.PreKeyMisses++
 		}
 	}
 	if !d.until(func() bool {

@@ -14,12 +14,15 @@ import (
 
 // This file is the safety drill: a seeded adversary sweep that checks
 // ledger agreement block-for-block. Each seed derives a deterministic
-// schedule (simnet.RandomAdversary: targeted delay, drop and partition per
-// pair/instance/view/kind, optionally with protocol-level equivocation) and
-// replays bit-for-bit on any host. Pointed at the legacy resolution rules
-// (SafetyDrillOptions.Legacy) it is the negative control for the A3
-// fork-commit path the Lemma 3.4 re-derivation closed; TestLegacyA3ForksLedger
-// pins it at the message level.
+// schedule profile (simnet.RandomAdversary: targeted message delay, drop,
+// and partition per pair/instance/view/kind, optionally composed with
+// protocol-level equivocation) and replays bit-for-bit on any host — the
+// PR 4 divergence recipe (~1-in-10 `-race` runs at n=4, m=4) as an
+// always-reproducible drill instead of a flake. Pointed at the legacy
+// resolution rules (SafetyDrillOptions.Legacy) the same harness is the
+// negative control for the A3 fork-commit path the Lemma 3.4 re-derivation
+// closed; see core/resolution.go and TestLegacyA3ForksLedger for the
+// message-level pin.
 
 // SafetyDrillOptions parameterizes one sweep.
 type SafetyDrillOptions struct {
@@ -168,12 +171,24 @@ func dumpDivergence(seed int64, pos, a, b int, ledgers [][]SlotRecord) string {
 // RunSafetyDrill sweeps Seeds distinct adversary schedules and reports
 // every seed whose honest ledgers diverged block-for-block.
 func RunSafetyDrill(o SafetyDrillOptions) SafetyDrillResult {
-	orDefault(&o.N, 4)
-	orDefault(&o.Instances, 4)
-	orDefault(&o.Seeds, 50)
-	orDefault(&o.SeedBase, 1)
-	orDefault(&o.BatchSize, 5)
-	orDefault(&o.Duration, 1500*time.Millisecond)
+	if o.N == 0 {
+		o.N = 4
+	}
+	if o.Instances == 0 {
+		o.Instances = 4
+	}
+	if o.Seeds == 0 {
+		o.Seeds = 50
+	}
+	if o.SeedBase == 0 {
+		o.SeedBase = 1
+	}
+	if o.BatchSize == 0 {
+		o.BatchSize = 5
+	}
+	if o.Duration == 0 {
+		o.Duration = 1500 * time.Millisecond
+	}
 	res := SafetyDrillResult{Options: o}
 	for i := 0; i < o.Seeds; i++ {
 		seed := o.SeedBase + int64(i)

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -14,16 +13,19 @@ import (
 	"spotless/internal/types"
 )
 
-// This file is the soak/chaos drill — the measurement side of the
-// view-synchronizer bake-off. Where the safety drill asks "did we fork?",
-// the soak asks "how fast did we heal?": each seeded run installs one chaos
-// profile (simnet.InstallChaos — churning partitions, gray failures, timer
-// skew) and measures, per fault episode, the time-to-resync (heal → first
-// post-heal commit at every victim) and the commits-lost spread at heal
-// time. The sweep crosses profiles with pacemaker arms (core.PacemakerArms:
-// the paper's adaptive timers, a Cogsworth-style relay, Lumiere-style
-// doubling) under identical seeded fault schedules, so a (profile, arm,
-// seed) cell reproduces bit-for-bit on any host.
+// This file is the soak/chaos harness — the measurement side of the
+// view-synchronizer bake-off. Where the safety drill answers "did we
+// fork?", the soak answers "how fast did we heal?": each seeded run
+// installs one chaos profile (simnet.InstallChaos — churning partitions,
+// gray failures, timer skew) and measures, per fault episode, the
+// time-to-resync (fault heal → first post-heal commit observed by every
+// replica) and the commits-lost spread (how far apart replica ledgers were
+// at the moment of heal). The sweep crosses fault profiles with pacemaker
+// arms (core.PacemakerArms), so the paper's adaptive synchronizer is
+// measured head-to-head against the Cogsworth-style relay and
+// Lumiere-style doubling alternatives under identical fault schedules:
+// everything is seeded, so a (profile, arm, seed) cell reproduces
+// bit-for-bit on any host.
 
 // SoakOptions parameterizes one bake-off sweep.
 type SoakOptions struct {
@@ -128,10 +130,17 @@ func runSoakSeed(o SoakOptions, profile, arm string, seed int64) (*drill, []simn
 func measureFault(rec simnet.FaultRecord, times [][]time.Duration, seed int64) FaultOutcome {
 	out := FaultOutcome{Seed: seed, Record: rec}
 	atHeal := make([]int, len(times))
+	maxAt, minAt := 0, int(^uint(0)>>1)
 	for i, ts := range times {
 		atHeal[i] = sort.Search(len(ts), func(j int) bool { return ts[j] > rec.Heal })
+		if atHeal[i] > maxAt {
+			maxAt = atHeal[i]
+		}
+		if atHeal[i] < minAt {
+			minAt = atHeal[i]
+		}
 	}
-	out.Lost = slices.Max(atHeal) - slices.Min(atHeal)
+	out.Lost = maxAt - minAt
 	var resyncAt time.Duration
 	for _, v := range rec.Victims {
 		ts := times[v]
@@ -151,12 +160,24 @@ func measureFault(rec simnet.FaultRecord, times [][]time.Duration, seed int64) F
 // RunSoak sweeps Profiles × Pacemakers × Seeds and aggregates per-cell
 // resync percentiles, loss means, and divergence checks.
 func RunSoak(o SoakOptions) (SoakResult, error) {
-	orDefault(&o.N, 4)
-	orDefault(&o.Instances, 4)
-	orDefault(&o.Seeds, 5)
-	orDefault(&o.SeedBase, 1)
-	orDefault(&o.BatchSize, 5)
-	orDefault(&o.Duration, 3*time.Second)
+	if o.N == 0 {
+		o.N = 4
+	}
+	if o.Instances == 0 {
+		o.Instances = 4
+	}
+	if o.Seeds == 0 {
+		o.Seeds = 5
+	}
+	if o.SeedBase == 0 {
+		o.SeedBase = 1
+	}
+	if o.BatchSize == 0 {
+		o.BatchSize = 5
+	}
+	if o.Duration == 0 {
+		o.Duration = 3 * time.Second
+	}
 	if len(o.Profiles) == 0 {
 		o.Profiles = []string{simnet.ProfilePartitions, simnet.ProfileGray, simnet.ProfileSkew}
 	}
@@ -198,7 +219,7 @@ func RunSoak(o SoakOptions) (SoakResult, error) {
 					cell.Unhealed++
 				}
 			}
-			slices.Sort(resyncs)
+			sort.Slice(resyncs, func(i, j int) bool { return resyncs[i] < resyncs[j] })
 			cell.ResyncP50 = percentileDur(resyncs, 0.50)
 			cell.ResyncP99 = percentileDur(resyncs, 0.99)
 			if cell.Faults > 0 {
@@ -217,20 +238,27 @@ func RunSoak(o SoakOptions) (SoakResult, error) {
 // (view, instance) on every correct replica, so agreement reduces to: any
 // two replicas that both delivered a slot delivered the same batch there.
 func diffLedgersSparse(seed int64, ledgers [][]SlotRecord) (Divergence, bool) {
-	ref := make(map[SlotRecord]types.Digest) // slot (batch zeroed) → first batch delivered there
-	owner := make(map[SlotRecord]int)
+	type slotKey struct {
+		inst int32
+		view types.View
+	}
+	ref := make(map[slotKey]types.Digest)
+	refOwner := make(map[slotKey]int)
 	for i, l := range ledgers {
 		for p, rec := range l {
-			k := SlotRecord{Instance: rec.Instance, View: rec.View}
-			if prev, ok := ref[k]; !ok {
-				ref[k], owner[k] = rec.Batch, i
-			} else if prev != rec.Batch {
-				return Divergence{
-					Seed: seed, Position: p,
-					Report: fmt.Sprintf("seed %d: replicas %d and %d delivered different batches at inst=%d view=%d (%x vs %x)\n",
-						seed, owner[k], i, rec.Instance, rec.View, prev[:6], rec.Batch[:6]),
-				}, true
+			k := slotKey{rec.Instance, rec.View}
+			if prev, ok := ref[k]; ok {
+				if prev != rec.Batch {
+					return Divergence{
+						Seed: seed, Position: p,
+						Report: fmt.Sprintf("seed %d: replicas %d and %d delivered different batches at inst=%d view=%d (%x vs %x)\n",
+							seed, refOwner[k], i, rec.Instance, rec.View, prev[:6], rec.Batch[:6]),
+					}, true
+				}
+				continue
 			}
+			ref[k] = rec.Batch
+			refOwner[k] = i
 		}
 	}
 	return Divergence{}, false
