@@ -18,13 +18,15 @@ import (
 // runFigure executes a figure's quick variant b.N times and reports the
 // first numeric cell of the last row as the headline metric.
 func runFigure(b *testing.B, id string) {
-	fig := bench.FigureByID(id)
-	if fig == nil {
-		b.Fatalf("unknown figure %s", id)
+	figs, err := bench.Select(id)
+	if err != nil {
+		b.Fatal(err)
 	}
 	var tables []bench.Table
 	for i := 0; i < b.N; i++ {
-		tables = fig.Run(true)
+		if tables, err = figs[0].Run(true, 0, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if metric, ok := headline(tables); ok {
 		b.ReportMetric(metric, "ktxn/s")

@@ -56,8 +56,8 @@
 // all three links of its consecutive view triple are certified. Resolving
 // a view as ∅ demands a full n−f ∅-claim quorum — the intersection
 // evidence that no conflicting tip can certify in that view. The seeded
-// adversary drill (internal/simnet/adversary.go, spotless-bench
-// -safety-drill) replays targeted message schedules deterministically and
+// adversary drill (internal/simnet/adversary.go, spotless-bench -run
+// safety) replays targeted message schedules deterministically and
 // checks ledgers block-for-block; core.Config.UnsafeLegacyResolution
 // retains the pre-derivation rules solely as the drill's negative control.
 //
@@ -74,6 +74,7 @@
 //
 // Cluster (this package) embeds a ready-to-use in-process deployment;
 // cmd/spotless-replica and cmd/spotless-client deploy over TCP;
-// cmd/spotless-bench regenerates every figure; the examples directory walks
+// cmd/spotless-bench regenerates every figure and runs the seeded drills
+// (-run <id>); the examples directory walks
 // through typical uses. See README.md and docs/ARCHITECTURE.md.
 package spotless

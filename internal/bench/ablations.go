@@ -11,7 +11,7 @@ func init() {
 	Figures = append(Figures, Figure{
 		ID:    "ablation",
 		Title: "Ablations: fast path (§6.1), message buffering (§6.1), QC verification (§6.2), verification pipeline",
-		Run:   Ablations,
+		Run:   figure(Ablations),
 	})
 }
 

@@ -11,7 +11,7 @@ func init() {
 	Figures = append(Figures, Figure{
 		ID:    "ablation-checkpoint",
 		Title: "Ablation: checkpointing — steady-state memory bound and crash/recovery via state transfer",
-		Run:   CheckpointAblation,
+		Run:   figure(CheckpointAblation),
 	})
 }
 

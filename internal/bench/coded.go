@@ -18,7 +18,7 @@ func init() {
 	Figures = append(Figures, Figure{
 		ID:    "dissem-coded",
 		Title: "Erasure-coded dissemination: origin egress and throughput, coded vs full push (n=16, WAN)",
-		Run:   CodedFigure,
+		Run:   figure(CodedFigure),
 	})
 }
 

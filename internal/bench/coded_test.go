@@ -33,8 +33,7 @@ func TestDissemCodedCommits(t *testing.T) {
 // seed) under digest ordering, with the full push (k=0) and with
 // ERASURE-CODED dissemination (k=2), where delivery depends on chunk
 // reconstruction — honest ledgers must agree block-for-block either way.
-// The full 200-seed bars run via `spotless-bench -safety-drill 200
-// -safety-dissem` and `-safety-dissem-code 2`.
+// The full bars run via `spotless-bench -run safety -seeds 200`.
 func TestSafetyDrillCodedSweep(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -42,15 +41,8 @@ func TestSafetyDrillCodedSweep(t *testing.T) {
 	}
 	for _, k := range []int{0, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			res := RunSafetyDrill(SafetyDrillOptions{Seeds: seeds, Dissem: true, DissemCode: k})
-			if len(res.Divergent) != 0 {
-				for _, d := range res.Divergent {
-					t.Log(d.Report)
-				}
-				t.Fatalf("%d of %d adversary seeds diverged under dissemination k=%d", len(res.Divergent), seeds, k)
-			}
-			if res.Delivered == 0 {
-				t.Fatalf("the k=%d drill delivered nothing under chaos", k)
+			if err := RunSafetyDrill(SafetyDrillOptions{Seeds: seeds, Dissem: true, DissemCode: k}).Verdict(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -25,39 +25,24 @@ import (
 // each fault exercised — a soak where every fault healed through the clean
 // path would prove much less.
 
+// The crash soak's cell: two kill/fault/restart episodes per seed over a
+// 256-key table, so snapshots stay small.
+const (
+	crashSoakEpisodes = 2
+	crashSoakRecords  = 256
+)
+
 // CrashSoakOptions parameterizes the soak.
 type CrashSoakOptions struct {
 	Seeds    int   // seeded runs (default 20)
 	SeedBase int64 // first seed of the sweep (default 1)
-	Episodes int   // kill/fault/restart episodes per seed (default 2)
 	// CheckpointInterval is the stable-frontier stride (default 8: several
 	// checkpoints — and snapshots — per episode).
 	CheckpointInterval int
-	Records            uint64 // YCSB table size and key space (default 256; snapshots stay small)
 
 	// adversary installs simnet.RandomAdversary(seed, n, 1) for the whole
 	// run: the composed fault cell, whose starved seeds may not converge.
 	adversary bool
-}
-
-// WithDefaults resolves zero values.
-func (o CrashSoakOptions) WithDefaults() CrashSoakOptions {
-	if o.Seeds == 0 {
-		o.Seeds = 20
-	}
-	if o.SeedBase == 0 {
-		o.SeedBase = 1
-	}
-	if o.Episodes == 0 {
-		o.Episodes = 2
-	}
-	if o.CheckpointInterval == 0 {
-		o.CheckpointInterval = 8
-	}
-	if o.Records == 0 {
-		o.Records = 256
-	}
-	return o
 }
 
 // Crash-soak disk-fault kinds. "none" is the pure kill-9; the rest corrupt
@@ -105,7 +90,15 @@ type CrashSoakResult struct {
 
 // RunCrashSoak sweeps the seeds.
 func RunCrashSoak(o CrashSoakOptions) CrashSoakResult {
-	o = o.WithDefaults()
+	if o.Seeds == 0 {
+		o.Seeds = 20
+	}
+	if o.SeedBase == 0 {
+		o.SeedBase = 1
+	}
+	if o.CheckpointInterval == 0 {
+		o.CheckpointInterval = 8
+	}
 	res := CrashSoakResult{Options: o}
 	for seed := o.SeedBase; seed < o.SeedBase+int64(o.Seeds); seed++ {
 		sr := runCrashSeed(o, seed)
@@ -126,7 +119,7 @@ func RunCrashSoak(o CrashSoakOptions) CrashSoakResult {
 
 func runCrashSeed(o CrashSoakOptions, seed int64) CrashSoakSeed {
 	sr := CrashSoakSeed{Seed: seed}
-	d, reps := newDurableDrill(seed, o.Records, o.CheckpointInterval, true)
+	d, reps := newDurableDrill(seed, crashSoakRecords, o.CheckpointInterval, true)
 	if o.adversary {
 		d.sim.SetAdversary(simnet.RandomAdversary(seed, len(reps), 1))
 	}
@@ -169,7 +162,7 @@ func crashEpisodes(o CrashSoakOptions, seed int64, d *drill, reps []*durable, sr
 	if !d.commits(o.CheckpointInterval + 4) {
 		return "warmup commits"
 	}
-	for ep := 0; ep < o.Episodes; ep++ {
+	for ep := 0; ep < crashSoakEpisodes; ep++ {
 		// Victims are drawn from [1, n): replica 0 is the never-crashed
 		// control every table is compared against.
 		id := types.NodeID(1 + rng.Intn(len(reps)-1))
@@ -294,14 +287,30 @@ func divergenceReport(reps []*durable) string {
 	return b.String()
 }
 
-// CrashSoakTable renders the soak result.
-func CrashSoakTable(res CrashSoakResult) Table {
+// Verdict fails when any seed diverged from the control, forked or
+// stalled, or when the sweep did not exercise both recovery paths: a clean
+// snapshot restore AND the corruption signature (fallback or quarantine).
+func (r CrashSoakResult) Verdict() error {
+	errs := []error{
+		check(r.Divergent == 0, "%d of %d seeds diverged from the never-crashed control", r.Divergent, len(r.Seeds)),
+		check(r.Stalled == 0, "%d of %d seeds stalled before finishing their episodes", r.Stalled, len(r.Seeds)),
+		check(r.Restored > 0, "no restart restored a snapshot"),
+		check(r.Fallbacks+r.Quarantined > 0, "no restart took the corruption path (fallback or quarantine)"),
+	}
+	for _, s := range r.Seeds {
+		errs = append(errs, check(!s.Diverged && !s.Forked && !s.Stalled, "seed %d (%v):\n%s", s.Seed, s.Faults, s.Report))
+	}
+	return errors.Join(errs...)
+}
+
+// Table renders the soak result.
+func (r CrashSoakResult) Table() Table {
 	t := Table{ID: "crashsoak",
 		Title: fmt.Sprintf("crash/disk-fault soak: %d seeds × %d kill-9 episodes, checkpoint every %d",
-			res.Options.Seeds, res.Options.Episodes, res.Options.CheckpointInterval),
+			r.Options.Seeds, crashSoakEpisodes, r.Options.CheckpointInterval),
 		Headers: []string{"seed", "episodes (victim:fault)", "restored", "fallbacks", "quarantined",
 			"rejected resumes", "written keys", "converged", "in (virtual ms)"}}
-	for _, s := range res.Seeds {
+	for _, s := range r.Seeds {
 		conv := "yes"
 		if s.Forked {
 			conv = "FORKED"
@@ -313,11 +322,11 @@ func CrashSoakTable(res CrashSoakResult) Table {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", s.Seed), strings.Join(s.Faults, " "),
 			fmt.Sprintf("%d", s.Restored), fmt.Sprintf("%d", s.Fallbacks), fmt.Sprintf("%d", s.Quarantined),
-			fmt.Sprintf("%d", s.Rejected), fmt.Sprintf("%d/%d", s.Keys, res.Options.Records), conv, lat(s.Converge)})
+			fmt.Sprintf("%d", s.Rejected), fmt.Sprintf("%d/%d", s.Keys, crashSoakRecords), conv, lat(s.Converge)})
 	}
 	t.Rows = append(t.Rows, []string{"total",
-		fmt.Sprintf("%d diverged, %d stalled", res.Divergent, res.Stalled),
-		fmt.Sprintf("%d", res.Restored), fmt.Sprintf("%d", res.Fallbacks),
-		fmt.Sprintf("%d", res.Quarantined), fmt.Sprintf("%d", res.Rejected), "", "", ""})
+		fmt.Sprintf("%d diverged, %d stalled", r.Divergent, r.Stalled),
+		fmt.Sprintf("%d", r.Restored), fmt.Sprintf("%d", r.Fallbacks),
+		fmt.Sprintf("%d", r.Quarantined), fmt.Sprintf("%d", r.Rejected), "", "", ""})
 	return t
 }

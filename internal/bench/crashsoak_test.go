@@ -16,22 +16,13 @@ import (
 // the comparison covers cold keys for real.
 func TestCrashSoakNoDivergence(t *testing.T) {
 	res := RunCrashSoak(CrashSoakOptions{})
+	if err := res.Verdict(); err != nil {
+		t.Error(err)
+	}
 	for _, s := range res.Seeds {
-		if s.Diverged || s.Forked || s.Stalled {
-			t.Errorf("seed %d diverged or stalled after %v:\n%s", s.Seed, s.Faults, s.Report)
-		}
 		if s.Keys < 200 {
-			t.Errorf("seed %d: only %d of %d keys hold a workload-written value", s.Seed, s.Keys, res.Options.Records)
+			t.Errorf("seed %d: only %d of %d keys hold a workload-written value", s.Seed, s.Keys, crashSoakRecords)
 		}
-	}
-	if res.Divergent != 0 {
-		t.Fatalf("%d of %d seeds diverged", res.Divergent, len(res.Seeds))
-	}
-	if res.Restored == 0 {
-		t.Fatal("soak never exercised a snapshot restore")
-	}
-	if res.Fallbacks+res.Quarantined == 0 {
-		t.Fatal("soak never exercised the corruption/loss path")
 	}
 }
 
@@ -42,7 +33,7 @@ func TestCrashSoakDeterministic(t *testing.T) {
 	o := CrashSoakOptions{Seeds: 3}
 	a, b := RunCrashSoak(o), RunCrashSoak(o)
 	if !reflect.DeepEqual(a, b) {
-		ta, tb := CrashSoakTable(a), CrashSoakTable(b)
+		ta, tb := a.Table(), b.Table()
 		t.Fatalf("crash soak not deterministic:\n--- run 1 ---\n%s--- run 2 ---\n%s", ta.String(), tb.String())
 	}
 }
@@ -74,12 +65,16 @@ func TestCrashSoakUnderAdversary(t *testing.T) {
 }
 
 // TestCrashSoakFlagsStall: a seed whose waits run out of virtual time is
-// flagged, not passed. A checkpoint stride far beyond the warmup's reach
-// stalls the seed before its first kill, so it records no fault.
+// flagged, not passed, and fails the verdict. A checkpoint stride far
+// beyond the warmup's reach stalls the seed before its first kill, so it
+// records no fault.
 func TestCrashSoakFlagsStall(t *testing.T) {
 	res := RunCrashSoak(CrashSoakOptions{Seeds: 1, CheckpointInterval: 1 << 20})
 	if res.Stalled != 1 || !res.Seeds[0].Stalled {
 		t.Fatalf("stalled seeds = %d, want 1:\n%s", res.Stalled, res.Seeds[0].Report)
+	}
+	if err := res.Verdict(); err == nil || !strings.Contains(err.Error(), "stalled") {
+		t.Fatalf("verdict %v, want a stall failure", err)
 	}
 	if s := res.Seeds[0]; len(s.Faults) != 0 || !strings.Contains(s.Report, "warmup") {
 		t.Fatalf("faults %v, report %q: want no fault and a warmup stall", s.Faults, s.Report)

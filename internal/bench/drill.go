@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"spotless/internal/core"
@@ -22,6 +23,60 @@ import (
 // attested snapshots over a per-node wal.MemFS — on every replica, so
 // kill-9s, disk faults and restarts are events on virtual time and every
 // seed replays bit-for-bit.
+
+// The drills join the figure registry behind `spotless-bench -run`; each
+// returns its table and its verdict.
+func init() {
+	Figures = append(Figures,
+		Figure{"safety", "Safety drill: honest ledgers agree block-for-block under seeded adversary schedules (inline, full push, coded k=2)",
+			func(_ bool, seeds int, seedBase int64) ([]Table, error) {
+				return safetyDrill(seeds, seedBase, SafetyDrillOptions{}, SafetyDrillOptions{Dissem: true},
+					SafetyDrillOptions{Dissem: true, DissemCode: 2})
+			}},
+		Figure{"safety-legacy", "Safety drill negative control: the pre-refactor resolution rules fork (never fails)",
+			func(_ bool, seeds int, seedBase int64) ([]Table, error) {
+				return safetyDrill(seeds, seedBase, SafetyDrillOptions{Legacy: true})
+			}},
+		Figure{"soak", "Soak/chaos bake-off: time-to-resync per fault profile × pacemaker arm",
+			func(_ bool, seeds int, seedBase int64) ([]Table, error) {
+				r := RunSoak(SoakOptions{Seeds: seeds, SeedBase: seedBase})
+				return []Table{r.Table()}, r.Verdict()
+			}},
+		Figure{"crashsoak", "Crash/disk-fault soak: restarted replicas' tables converge byte-for-byte with a never-crashed control",
+			func(_ bool, seeds int, seedBase int64) ([]Table, error) {
+				r := RunCrashSoak(CrashSoakOptions{Seeds: seeds, SeedBase: seedBase})
+				return []Table{r.Table()}, r.Verdict()
+			}},
+		Figure{"powercut", "Power-cut drill: a durable WAL rejoin transfers the missing suffix, not the retained chain",
+			func(bool, int, int64) ([]Table, error) {
+				r, err := RunPowerCut()
+				if err != nil {
+					return nil, err
+				}
+				return []Table{r.Table()}, r.Verdict()
+			}})
+}
+
+// drillN is every drill's cluster size: n = 4 replicas, f = 1.
+const drillN = 4
+
+// check is one verdict rule: nil when ok holds, else an error naming the
+// failed check. A drill's Verdict joins its checks with errors.Join.
+func check(ok bool, format string, args ...any) error {
+	if ok {
+		return nil
+	}
+	return fmt.Errorf(format, args...)
+}
+
+// reports concatenates divergence reports for a failed verdict.
+func reports(ds []Divergence) string {
+	var sb strings.Builder
+	for _, d := range ds {
+		sb.WriteString(d.Report)
+	}
+	return sb.String()
+}
 
 // drill is one seeded simulator run.
 type drill struct {
@@ -114,15 +169,15 @@ type durable struct {
 	rejected int
 }
 
-// newDurableDrill starts the durability drills' cluster: n = 4, one
-// instance, the uniform workload over a `records`-key table, a checkpoint
+// newDurableDrill starts the durability drills' cluster: one instance,
+// the uniform workload over a `records`-key table, a checkpoint
 // every `interval`, and the execution layer on every replica, over its own
 // wal.MemFS when withWAL is set.
 func newDurableDrill(seed int64, records uint64, interval int, withWAL bool) (*drill, []*durable) {
 	wl := loadgen.DefaultWorkload(5)
 	wl.Records = records
-	d := newDrill(4, 1, wl, seed)
-	cfg := drillConfig(4, 1, nil)
+	d := newDrill(drillN, 1, wl, seed)
+	cfg := drillConfig(drillN, 1, nil)
 	cfg.CheckpointInterval = interval
 	reps := make([]*durable, cfg.N)
 	for i := range reps {

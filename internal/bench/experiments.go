@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,43 +48,58 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Figure couples an experiment id with its runner. quick scales the sweep
-// down (n ≤ 32) for CI-sized runs; full reproduces the paper's parameters.
+// Figure couples an experiment or drill id with its runner. quick scales a
+// figure's sweep down (n ≤ 32) for CI-sized runs; full reproduces the
+// paper's parameters. seeds and seedBase pick a drill's seed range (0 = the
+// drill's default). Run returns the tables and the verdict: nil, or an
+// error naming every failed check.
 type Figure struct {
 	ID    string
 	Title string
-	Run   func(quick bool) []Table
+	Run   func(quick bool, seeds int, seedBase int64) ([]Table, error)
 }
 
-// Figures indexes every reproduced table and figure plus the ablations.
+// figure adapts a paper figure or ablation: no seeds, no verdict.
+func figure(run func(quick bool) []Table) func(bool, int, int64) ([]Table, error) {
+	return func(quick bool, _ int, _ int64) ([]Table, error) { return run(quick), nil }
+}
+
+// Figures indexes every reproduced figure; ablations and drills add theirs.
 var Figures = []Figure{
-	{"fig1", "Figure 1: measured communication cost per consensus decision", Fig1Complexity},
-	{"fig7a", "Figure 7(a): scalability — throughput vs number of replicas", Fig7aScalability},
-	{"fig7b", "Figure 7(b): batching — throughput vs batch size", Fig7bBatching},
-	{"fig7c", "Figure 7(c): throughput vs latency (load sweep)", Fig7cThroughputLatency},
-	{"fig7d", "Figure 7(d): throughput vs transaction size", Fig7dTxnSize},
-	{"fig7e", "Figure 7(e): impact of failures (count)", Fig7eFailures},
-	{"fig7f", "Figure 7(f): impact of failures (ratio of f)", Fig7fFailureRatio},
-	{"fig8", "Figure 8: SpotLess under failures across cluster sizes", Fig8SpotLessFailures},
-	{"fig9", "Figure 9: throughput-latency with failures (SpotLess vs RCC)", Fig9LatencyFailures},
-	{"fig10", "Figure 10: parallel transaction processing (client batches per primary)", Fig10Parallel},
-	{"fig11", "Figure 11: Byzantine attacks A1–A4", Fig11Byzantine},
-	{"fig12", "Figure 12: real-time throughput timeline around failures", Fig12Timeline},
-	{"fig13", "Figure 13: throughput vs number of concurrent instances", Fig13Instances},
-	{"fig14a", "Figure 14(a): impact of computing power (CPU cores)", Fig14aCores},
-	{"fig14b", "Figure 14(b): impact of network bandwidth", Fig14bBandwidth},
-	{"fig14cd", "Figure 14(c,d): impact of geo-distribution (regions)", Fig14cdRegions},
-	{"fig15", "Figure 15: single-instance SpotLess vs HotStuff under attacks", Fig15SingleInstance},
+	{"fig1", "Figure 1: measured communication cost per consensus decision", figure(Fig1Complexity)},
+	{"fig7a", "Figure 7(a): scalability — throughput vs number of replicas", figure(Fig7aScalability)},
+	{"fig7b", "Figure 7(b): batching — throughput vs batch size", figure(Fig7bBatching)},
+	{"fig7c", "Figure 7(c): throughput vs latency (load sweep)", figure(Fig7cThroughputLatency)},
+	{"fig7d", "Figure 7(d): throughput vs transaction size", figure(Fig7dTxnSize)},
+	{"fig7e", "Figure 7(e): impact of failures (count)", figure(Fig7eFailures)},
+	{"fig7f", "Figure 7(f): impact of failures (ratio of f)", figure(Fig7fFailureRatio)},
+	{"fig8", "Figure 8: SpotLess under failures across cluster sizes", figure(Fig8SpotLessFailures)},
+	{"fig9", "Figure 9: throughput-latency with failures (SpotLess vs RCC)", figure(Fig9LatencyFailures)},
+	{"fig10", "Figure 10: parallel transaction processing (client batches per primary)", figure(Fig10Parallel)},
+	{"fig11", "Figure 11: Byzantine attacks A1–A4", figure(Fig11Byzantine)},
+	{"fig12", "Figure 12: real-time throughput timeline around failures", figure(Fig12Timeline)},
+	{"fig13", "Figure 13: throughput vs number of concurrent instances", figure(Fig13Instances)},
+	{"fig14a", "Figure 14(a): impact of computing power (CPU cores)", figure(Fig14aCores)},
+	{"fig14b", "Figure 14(b): impact of network bandwidth", figure(Fig14bBandwidth)},
+	{"fig14cd", "Figure 14(c,d): impact of geo-distribution (regions)", figure(Fig14cdRegions)},
+	{"fig15", "Figure 15: single-instance SpotLess vs HotStuff under attacks", figure(Fig15SingleInstance)},
 }
 
-// FigureByID returns the figure with the given id, or nil.
-func FigureByID(id string) *Figure {
-	for i := range Figures {
-		if Figures[i].ID == id {
-			return &Figures[i]
-		}
+// Select resolves a `spotless-bench -run` value: "all", or comma-separated
+// ids, each of which must name an entry.
+func Select(ids string) ([]Figure, error) {
+	if ids == "all" {
+		return Figures, nil
 	}
-	return nil
+	var selected []Figure
+	for _, id := range strings.Split(ids, ",") {
+		i := slices.IndexFunc(Figures, func(f Figure) bool { return f.ID == strings.TrimSpace(id) })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q; use -list", id)
+		}
+		selected = append(selected, Figures[i])
+	}
+	return selected, nil
 }
 
 func fullScale(quick bool) int {

@@ -9,7 +9,7 @@ func init() {
 	Figures = append(Figures, Figure{
 		ID:    "ablation-instance-parallel",
 		Title: "Ablation: instance-parallel core — commit throughput vs m × workers",
-		Run:   InstanceParallel,
+		Run:   figure(InstanceParallel),
 	})
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -8,46 +9,23 @@ import (
 	"spotless/internal/ycsb"
 )
 
-func init() {
-	Figures = append(Figures, Figure{
-		ID:    "ablation-powercut",
-		Title: "Ablation: durable WAL — power-cut rejoin transfers the missing suffix, not the retained chain",
-		Run:   PowerCutFigure,
-	})
-}
-
-// PowerCutOptions parameterizes the power-cut drill. The interesting regime
-// is a crash landing well after the last checkpoint: the victim then holds a
-// long committed tail above the stable frontier, which a durable replica
-// replays from local disk while a memory-only one must re-download it.
-type PowerCutOptions struct {
-	CheckpointInterval int // stable-frontier stride (default 32)
-	Warmup             int // committed batches before the cut (default 40)
-	Outage             int // committed batches while the victim is down (default 6)
-}
-
-// WithDefaults resolves the zero values. The defaults place the cut a few
-// commits past a stabilized checkpoint and keep the outage well inside the
-// next stride, so the victim's replayed head stays at or above the stable
+// The power-cut cell. The interesting regime is a crash landing well after
+// the last checkpoint: the victim then holds a long committed tail above
+// the stable frontier, which a durable replica replays from local disk
+// while a memory-only one must re-download it. The cut lands a few commits
+// past a stabilized checkpoint and the outage stays well inside the next
+// stride, so the victim's replayed head stays at or above the stable
 // frontier while it rejoins — the regime where local disk replaces network
 // transfer entirely.
-func (o PowerCutOptions) WithDefaults() PowerCutOptions {
-	if o.CheckpointInterval == 0 {
-		o.CheckpointInterval = 32
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 40
-	}
-	if o.Outage == 0 {
-		o.Outage = 6
-	}
-	return o
-}
+const (
+	powerCutInterval = 32 // stable-frontier stride
+	powerCutWarmup   = 40 // committed batches before the cut
+	powerCutOutage   = 6  // committed batches while the victim is down
+)
 
 // PowerCutArm is one arm of the drill: a replica kill-9'd under load and
 // restarted, with every byte to or from it metered until it has rejoined.
 type PowerCutArm struct {
-	Durable      bool
 	Replayed     int           // ledger blocks replayed from local disk at restart
 	ChunkBlocks  int           // ledger blocks re-transferred over the network
 	ChunkBytes   int           // state-chunk bytes of those transfers
@@ -59,32 +37,55 @@ type PowerCutArm struct {
 	BelowAnchor  int           // replayed ledger blocks below the snapshot anchor (must be 0)
 }
 
+// PowerCutResult is the drill's arm pair.
+type PowerCutResult struct {
+	Warm PowerCutArm // durable WAL-backed ledger
+	Cold PowerCutArm // memory-only control
+}
+
 // RunPowerCut runs the kill-9-under-load drill on the simulator twice — once
 // with a durable WAL-backed ledger (warm: restart replays local segments and
 // fetches only the missing suffix) and once memory-only (cold: restart is
 // empty and re-downloads the whole retained chain from the stable height).
-func RunPowerCut(o PowerCutOptions) (warm, cold PowerCutArm, err error) {
-	o = o.WithDefaults()
-	if warm, err = powerCutArm(true, o); err != nil {
+func RunPowerCut() (r PowerCutResult, err error) {
+	if r.Warm, err = powerCutArm(true); err != nil {
 		return
 	}
-	cold, err = powerCutArm(false, o)
+	r.Cold, err = powerCutArm(false)
 	return
 }
 
-func powerCutArm(durable bool, o PowerCutOptions) (PowerCutArm, error) {
-	arm := PowerCutArm{Durable: durable}
+// Verdict fails unless the durable arm replayed its chain from local disk,
+// transferred strictly fewer blocks than the control, restored its
+// execution snapshot, answered every read of at least 100 pre-checkpoint
+// keys correctly before exchanging a message, and replayed nothing below
+// the snapshot anchor.
+func (r PowerCutResult) Verdict() error {
+	w, c := r.Warm, r.Cold
+	return errors.Join(
+		check(w.Replayed > 0, "the durable replica replayed nothing from local disk"),
+		check(w.ChunkBlocks < c.ChunkBlocks, "the durable rejoin transferred %d blocks, the control %d: suffix fetch did not engage",
+			w.ChunkBlocks, c.ChunkBlocks),
+		check(w.SnapRestored, "the durable replica did not restore its execution snapshot at restart"),
+		check(w.PreKeys >= 100, "the stable cut held %d pre-checkpoint keys to attest, want at least 100", w.PreKeys),
+		check(w.PreKeyMisses == 0, "the restarted replica answered %d of %d pre-checkpoint-key reads wrongly",
+			w.PreKeyMisses, w.PreKeys),
+		check(w.BelowAnchor == 0, "the restart replayed %d blocks below the snapshot anchor", w.BelowAnchor))
+}
+
+func powerCutArm(durable bool) (PowerCutArm, error) {
+	var arm PowerCutArm
 	const victim = 3
 	// A 1000-key table: the uniform workload writes well over a hundred
 	// keys before the stable cut.
-	d, reps := newDurableDrill(1, 1000, o.CheckpointInterval, durable)
+	d, reps := newDurableDrill(1, 1000, powerCutInterval, durable)
 	r := reps[victim]
 
 	// The cut lands after the warmup, past a persisted checkpoint (so the
 	// durable arm has something to resume from) with a committed tail above.
 	if !d.until(func() bool {
 		s := r.core.StableHeight()
-		return d.col.BatchesDone >= uint64(o.Warmup) && s > 0 && r.exec.Ledger().Height() > s
+		return d.col.BatchesDone >= powerCutWarmup && s > 0 && r.exec.Ledger().Height() > s
 	}) {
 		return arm, fmt.Errorf("powercut: victim never held a committed tail above a stable checkpoint")
 	}
@@ -99,7 +100,7 @@ func powerCutArm(durable bool, o PowerCutOptions) (PowerCutArm, error) {
 	if err != nil {
 		return arm, fmt.Errorf("powercut: stable snapshot at the cut does not decode: %v", err)
 	}
-	if !d.commits(o.Outage) {
+	if !d.commits(powerCutOutage) {
 		return arm, fmt.Errorf("powercut: outage stalled")
 	}
 	d.meter = func(from, to types.NodeID, msg types.Message) {
@@ -164,17 +165,14 @@ func powerCutArm(durable bool, o PowerCutOptions) (PowerCutArm, error) {
 	return arm, nil
 }
 
-// PowerCutTable renders the two arms side by side.
-func PowerCutTable(warm, cold PowerCutArm, o PowerCutOptions) Table {
-	t := Table{ID: "ablation-powercut",
-		Title: fmt.Sprintf("power-cut rejoin, n=4, checkpoint every %d, crash %d past the checkpoint, %d-batch outage",
-			o.CheckpointInterval, o.Warmup%o.CheckpointInterval, o.Outage),
+// Table renders the two arms side by side.
+func (r PowerCutResult) Table() Table {
+	t := Table{ID: "powercut",
+		Title: fmt.Sprintf("power-cut rejoin, n=%d, checkpoint every %d, crash %d past the checkpoint, %d-batch outage",
+			drillN, powerCutInterval, powerCutWarmup%powerCutInterval, powerCutOutage),
 		Headers: []string{"variant", "snapshot restored", "pre-ckpt keys served", "replayed below anchor", "replayed from disk", "blocks over network", "state bytes", "rejoin bytes", "rejoin ms (virtual)"}}
-	for _, a := range []PowerCutArm{warm, cold} {
-		name := "memory-only (O(chain since stable))"
-		if a.Durable {
-			name = "durable WAL (O(missing suffix))"
-		}
+	for i, a := range []PowerCutArm{r.Warm, r.Cold} {
+		name := [...]string{"durable WAL (O(missing suffix))", "memory-only (O(chain since stable))"}[i]
 		t.Rows = append(t.Rows, []string{name,
 			fmt.Sprintf("%t", a.SnapRestored),
 			fmt.Sprintf("%d/%d", a.PreKeys-a.PreKeyMisses, a.PreKeys),
@@ -183,16 +181,4 @@ func PowerCutTable(warm, cold PowerCutArm, o PowerCutOptions) Table {
 			fmt.Sprintf("%d", a.ChunkBytes), fmt.Sprintf("%d", a.RejoinBytes), lat(a.Rejoin)})
 	}
 	return t
-}
-
-// PowerCutFigure adapts the drill to the figure runner (the drill is
-// CI-sized already; quick changes nothing).
-func PowerCutFigure(bool) []Table {
-	o := PowerCutOptions{}.WithDefaults()
-	warm, cold, err := RunPowerCut(o)
-	if err != nil {
-		return []Table{{ID: "ablation-powercut", Title: "power-cut drill failed",
-			Headers: []string{"error"}, Rows: [][]string{{err.Error()}}}}
-	}
-	return []Table{PowerCutTable(warm, cold, o)}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -24,14 +25,17 @@ import (
 // closed; see core/resolution.go and TestLegacyA3ForksLedger for the
 // message-level pin.
 
+// The safety drill's cell: m = 4 instances and 1.5 s of virtual time per
+// seed; every third seed makes one replica equivocate.
+const (
+	safetyInstances = 4
+	safetyDuration  = 1500 * time.Millisecond
+)
+
 // SafetyDrillOptions parameterizes one sweep.
 type SafetyDrillOptions struct {
-	N         int // replicas (default 4)
-	Instances int // m concurrent instances (default 4)
-	Seeds     int // distinct adversary seeds (default 50)
-	SeedBase  int64
-	BatchSize int           // txns per client batch (default 5)
-	Duration  time.Duration // virtual time per seed (default 1.5s)
+	Seeds    int // distinct adversary seeds (default 50)
+	SeedBase int64
 
 	// Pacemaker selects the view-synchronizer arm every replica runs
 	// ("" = spotless; see core.PacemakerArms) — the bake-off's safety leg:
@@ -50,9 +54,6 @@ type SafetyDrillOptions struct {
 	// Legacy runs the seed's unsafe view-resolution rules
 	// (core.Config.UnsafeLegacyResolution) — the negative control.
 	Legacy bool
-	// NoEquivocation disables the protocol-level Byzantine composition
-	// (by default every third seed makes one replica equivocate).
-	NoEquivocation bool
 }
 
 // SlotRecord is one delivered block in a replica's ledger order.
@@ -72,7 +73,6 @@ type Divergence struct {
 // SafetyDrillResult summarizes a sweep.
 type SafetyDrillResult struct {
 	Options   SafetyDrillOptions
-	Seeds     []int64
 	Divergent []Divergence
 	Delivered uint64 // blocks delivered across all seeds and replicas
 	Idle      int    // seeds whose adversary prevented any delivery
@@ -80,20 +80,20 @@ type SafetyDrillResult struct {
 
 // runSafetySeed executes one seeded drill.
 func runSafetySeed(o SafetyDrillOptions, seed int64) *drill {
-	n, m := o.N, o.Instances
+	n, m := drillN, safetyInstances
 	f := (n - 1) / 3
 	streams := m
 	if o.Dissem {
 		streams = n // one dissemination lane per origin replica
 	}
-	d := newDrill(n, streams, loadgen.DefaultWorkload(o.BatchSize), seed)
+	d := newDrill(n, streams, loadgen.DefaultWorkload(5), seed)
 	d.sim.SetAdversary(simnet.RandomAdversary(seed, n, m))
 
 	// Byzantine composition: every third seed makes the last replica
 	// equivocate (conflicting proposals and claims toward f victims) on
 	// top of the scheduler rules — the content-level half of the
 	// adversary layer.
-	equivocator := !o.NoEquivocation && seed%3 == 0
+	equivocator := seed%3 == 0
 	victims := make(map[types.NodeID]bool, f)
 	for i := 0; i < f; i++ {
 		victims[types.NodeID(i)] = true
@@ -115,7 +115,7 @@ func runSafetySeed(o SafetyDrillOptions, seed int64) *drill {
 		d.sim.SetProtocol(id, core.New(d.sim.Context(id), cfg))
 	}
 	d.sim.Start()
-	d.sim.Run(o.Duration)
+	d.sim.Run(safetyDuration)
 	return d
 }
 
@@ -171,36 +171,23 @@ func dumpDivergence(seed int64, pos, a, b int, ledgers [][]SlotRecord) string {
 // RunSafetyDrill sweeps Seeds distinct adversary schedules and reports
 // every seed whose honest ledgers diverged block-for-block.
 func RunSafetyDrill(o SafetyDrillOptions) SafetyDrillResult {
-	if o.N == 0 {
-		o.N = 4
-	}
-	if o.Instances == 0 {
-		o.Instances = 4
-	}
 	if o.Seeds == 0 {
 		o.Seeds = 50
 	}
 	if o.SeedBase == 0 {
 		o.SeedBase = 1
 	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 5
-	}
-	if o.Duration == 0 {
-		o.Duration = 1500 * time.Millisecond
-	}
 	res := SafetyDrillResult{Options: o}
 	for i := 0; i < o.Seeds; i++ {
 		seed := o.SeedBase + int64(i)
-		res.Seeds = append(res.Seeds, seed)
 		d := runSafetySeed(o, seed)
 		res.Delivered += d.delivered()
 		if d.col.BatchesDone == 0 {
 			res.Idle++
 		}
 		skip := -1
-		if !o.NoEquivocation && seed%3 == 0 {
-			skip = o.N - 1 // the equivocator is the configured fault
+		if seed%3 == 0 {
+			skip = drillN - 1 // the equivocator is the configured fault
 		}
 		if pos, a, b, div := diffLedgers(d.ledgers, skip); div {
 			res.Divergent = append(res.Divergent, Divergence{
@@ -212,26 +199,55 @@ func RunSafetyDrill(o SafetyDrillOptions) SafetyDrillResult {
 	return res
 }
 
-// String renders the sweep summary (the -safety-drill CLI output).
-func (r SafetyDrillResult) String() string {
-	var sb strings.Builder
-	mode := "strict"
+// variant names the sweep's dissemination mode.
+func (r SafetyDrillResult) variant() string {
+	switch {
+	case r.Options.DissemCode > 0:
+		return fmt.Sprintf("digest ordering, coded k=%d", r.Options.DissemCode)
+	case r.Options.Dissem:
+		return "digest ordering, full push"
+	}
+	return "inline"
+}
+
+// Verdict fails when honest ledgers diverged under the strict rules or
+// no seed delivered a block. The legacy negative control has no verdict:
+// forking is its expected outcome.
+func (r SafetyDrillResult) Verdict() error {
 	if r.Options.Legacy {
-		mode = "LEGACY (negative control)"
+		return nil
 	}
-	if r.Options.Dissem {
-		mode += " + digest ordering"
-		if r.Options.DissemCode > 0 {
-			mode += fmt.Sprintf(" (coded k=%d)", r.Options.DissemCode)
+	return errors.Join(
+		check(len(r.Divergent) == 0, "%s: %d of %d seeds diverged under the strict rules:\n%s",
+			r.variant(), len(r.Divergent), r.Options.Seeds, reports(r.Divergent)),
+		check(r.Delivered > 0, "%s: no block delivered, the adversary wedged every seed", r.variant()))
+}
+
+// safetyDrill sweeps each variant over the same seeds into one table, one
+// row per variant; forks lists each divergent seed with its first
+// diverging ledger position.
+func safetyDrill(seeds int, seedBase int64, variants ...SafetyDrillOptions) ([]Table, error) {
+	t := Table{ID: "safety",
+		Headers: []string{"variant", "rules", "seeds", "divergent", "blocks delivered", "idle seeds", "forks (seed@position)"}}
+	var errs []error
+	for _, o := range variants {
+		o.Seeds, o.SeedBase = seeds, seedBase
+		r := RunSafetyDrill(o)
+		errs = append(errs, r.Verdict())
+		t.Title = fmt.Sprintf("seeded adversary sweep, n=%d m=%d, seeds %d..%d",
+			drillN, safetyInstances, r.Options.SeedBase, r.Options.SeedBase+int64(r.Options.Seeds)-1)
+		rules, forks := "strict", []string{}
+		if r.Options.Legacy {
+			rules = "LEGACY (negative control)"
+			if len(r.Divergent) == 0 {
+				t.Title += "; no fork in this seed range, try -seed-base 8"
+			}
 		}
+		for _, d := range r.Divergent {
+			forks = append(forks, fmt.Sprintf("%d@%d", d.Seed, d.Position))
+		}
+		t.Rows = append(t.Rows, []string{r.variant(), rules, fmt.Sprintf("%d", r.Options.Seeds),
+			fmt.Sprintf("%d", len(r.Divergent)), fmt.Sprintf("%d", r.Delivered), fmt.Sprintf("%d", r.Idle), strings.Join(forks, " ")})
 	}
-	if r.Options.Pacemaker != "" && r.Options.Pacemaker != "spotless" {
-		mode += " + " + r.Options.Pacemaker + " pacemaker"
-	}
-	fmt.Fprintf(&sb, "safety drill: %d seeds, n=%d m=%d, %s rules — %d divergent, %d blocks delivered, %d idle seeds\n",
-		len(r.Seeds), r.Options.N, r.Options.Instances, mode, len(r.Divergent), r.Delivered, r.Idle)
-	for _, d := range r.Divergent {
-		sb.WriteString(d.Report)
-	}
-	return sb.String()
+	return []Table{t}, errors.Join(errs...)
 }

@@ -3,27 +3,25 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"spotless/internal/core"
 )
 
 // TestSafetyDrillStrictSweep: across a sweep of seeded adversary schedules
 // (targeted delay/drop/partition rules plus periodic equivocation), honest
 // ledgers never diverge block-for-block under the strict resolution rules —
-// the Lemma 3.4 acceptance criterion, scaled for CI. The full bar
-// (≥ 50 seeds) runs outside -short and via `spotless-bench -safety-drill`.
+// the Lemma 3.4 acceptance criterion, scaled for CI — under every
+// view-synchronizer arm. The full bar (≥ 50 seeds) runs outside -short and
+// via `spotless-bench -run safety`.
 func TestSafetyDrillStrictSweep(t *testing.T) {
 	seeds := 16
 	if testing.Short() {
 		seeds = 4
 	}
-	res := RunSafetyDrill(SafetyDrillOptions{Seeds: seeds})
-	if len(res.Divergent) != 0 {
-		for _, d := range res.Divergent {
-			t.Log(d.Report)
+	for _, arm := range core.PacemakerArms {
+		if err := RunSafetyDrill(SafetyDrillOptions{Seeds: seeds, Pacemaker: arm}).Verdict(); err != nil {
+			t.Errorf("%s pacemaker: %v", arm, err)
 		}
-		t.Fatalf("%d of %d adversary seeds diverged under the strict resolution rules", len(res.Divergent), seeds)
-	}
-	if res.Delivered == 0 {
-		t.Fatal("the drill delivered nothing — the adversary profiles wedged every seed")
 	}
 }
 

@@ -1,9 +1,9 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"spotless/internal/core"
@@ -29,11 +29,9 @@ import (
 
 // SoakOptions parameterizes one bake-off sweep.
 type SoakOptions struct {
-	N         int   // replicas (default 4)
 	Instances int   // m concurrent instances (default 4)
 	Seeds     int   // seeds per (profile × pacemaker) cell (default 5)
 	SeedBase  int64 // first seed (default 1)
-	BatchSize int   // txns per client batch (default 5)
 	// Duration is the virtual time per seed (default 3s). Chaos episodes
 	// are planned inside [300ms, Duration−500ms]; the tail measures the
 	// last resync.
@@ -81,13 +79,14 @@ type SoakResult struct {
 }
 
 // runSoakSeed executes one (profile, pacemaker, seed) run and returns it
-// with its fault plan.
-func runSoakSeed(o SoakOptions, profile, arm string, seed int64) (*drill, []simnet.FaultRecord, error) {
-	n, m := o.N, o.Instances
-	d := newDrill(n, m, loadgen.DefaultWorkload(o.BatchSize), seed)
+// with its fault plan. Profiles and arms come from code, so an unknown name
+// is a bug and panics.
+func runSoakSeed(o SoakOptions, profile, arm string, seed int64) (*drill, []simnet.FaultRecord) {
+	n, m := drillN, o.Instances
+	d := newDrill(n, m, loadgen.DefaultWorkload(5), seed)
 	pm, err := core.PacemakerByName(arm)
 	if err != nil {
-		return nil, nil, err
+		panic(err)
 	}
 	// Checkpointing on: the soak's faults leave replicas hundreds of commits
 	// behind, and state transfer is the designed recovery path for that
@@ -109,7 +108,7 @@ func runSoakSeed(o SoakOptions, profile, arm string, seed int64) (*drill, []simn
 		},
 	})
 	if err != nil {
-		return nil, nil, err
+		panic(err)
 	}
 	for i := 0; i < n; i++ {
 		id := types.NodeID(i)
@@ -117,7 +116,7 @@ func runSoakSeed(o SoakOptions, profile, arm string, seed int64) (*drill, []simn
 	}
 	d.sim.Start()
 	d.sim.Run(o.Duration)
-	return d, plan, nil
+	return d, plan
 }
 
 // measureFault derives one episode's outcome from the per-replica commit
@@ -159,10 +158,7 @@ func measureFault(rec simnet.FaultRecord, times [][]time.Duration, seed int64) F
 
 // RunSoak sweeps Profiles × Pacemakers × Seeds and aggregates per-cell
 // resync percentiles, loss means, and divergence checks.
-func RunSoak(o SoakOptions) (SoakResult, error) {
-	if o.N == 0 {
-		o.N = 4
-	}
+func RunSoak(o SoakOptions) SoakResult {
 	if o.Instances == 0 {
 		o.Instances = 4
 	}
@@ -171,9 +167,6 @@ func RunSoak(o SoakOptions) (SoakResult, error) {
 	}
 	if o.SeedBase == 0 {
 		o.SeedBase = 1
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 5
 	}
 	if o.Duration == 0 {
 		o.Duration = 3 * time.Second
@@ -184,11 +177,6 @@ func RunSoak(o SoakOptions) (SoakResult, error) {
 	if len(o.Pacemakers) == 0 {
 		o.Pacemakers = core.PacemakerArms
 	}
-	for _, arm := range o.Pacemakers {
-		if _, err := core.PacemakerByName(arm); err != nil {
-			return SoakResult{}, err
-		}
-	}
 
 	res := SoakResult{Options: o}
 	for _, profile := range o.Profiles {
@@ -196,14 +184,11 @@ func RunSoak(o SoakOptions) (SoakResult, error) {
 			cell := SoakCell{Profile: profile, Pacemaker: arm}
 			for i := 0; i < o.Seeds; i++ {
 				seed := o.SeedBase + int64(i)
-				d, plan, err := runSoakSeed(o, profile, arm, seed)
-				if err != nil {
-					return SoakResult{}, err
-				}
+				d, plan := runSoakSeed(o, profile, arm, seed)
 				for _, rec := range plan {
 					cell.Outcomes = append(cell.Outcomes, measureFault(rec, d.times, seed))
 				}
-				cell.Blocks += d.delivered() / uint64(o.N)
+				cell.Blocks += d.delivered() / drillN
 				if dv, div := diffLedgersSparse(seed, d.ledgers); div {
 					cell.Divergent = append(cell.Divergent, dv)
 				}
@@ -228,7 +213,7 @@ func RunSoak(o SoakOptions) (SoakResult, error) {
 			res.Cells = append(res.Cells, cell)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // diffLedgersSparse checks fork-freedom across ledgers that may carry
@@ -273,20 +258,24 @@ func percentileDur(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// Divergences flattens every diverging seed across cells.
-func (r SoakResult) Divergences() []Divergence {
-	var all []Divergence
+// Verdict fails when any cell's honest ledgers forked or any cell's chaos
+// plan injected no fault: chaos must degrade liveness, never safety.
+func (r SoakResult) Verdict() error {
+	var errs []error
 	for _, c := range r.Cells {
-		all = append(all, c.Divergent...)
+		errs = append(errs,
+			check(len(c.Divergent) == 0, "%s/%s: %d seeds diverged:\n%s",
+				c.Profile, c.Pacemaker, len(c.Divergent), reports(c.Divergent)),
+			check(c.Faults > 0, "%s/%s: the chaos plan injected no faults", c.Profile, c.Pacemaker))
 	}
-	return all
+	return errors.Join(errs...)
 }
 
 // Table renders the per-(profile × pacemaker) bake-off table.
 func (r SoakResult) Table() Table {
 	t := Table{
 		ID:    "soak-bakeoff",
-		Title: fmt.Sprintf("time-to-resync per fault profile × pacemaker (n=%d m=%d, %d seeds/cell, %s virtual each)", r.Options.N, r.Options.Instances, r.Options.Seeds, r.Options.Duration),
+		Title: fmt.Sprintf("time-to-resync per fault profile × pacemaker (n=%d m=%d, %d seeds/cell, %s virtual each)", drillN, r.Options.Instances, r.Options.Seeds, r.Options.Duration),
 		Headers: []string{"profile", "pacemaker", "faults", "unhealed",
 			"resync p50", "resync p99", "lost/fault", "blocks", "diverged"},
 	}
@@ -307,16 +296,4 @@ func (r SoakResult) Table() Table {
 
 func fmtDurMs(d time.Duration) string {
 	return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
-}
-
-// String renders the table plus any divergence reports (the -soak CLI
-// output).
-func (r SoakResult) String() string {
-	var sb strings.Builder
-	t := r.Table()
-	sb.WriteString(t.String())
-	for _, d := range r.Divergences() {
-		sb.WriteString(d.Report)
-	}
-	return sb.String()
 }

@@ -30,21 +30,12 @@ func TestSoakRegressionDefaultPacemaker(t *testing.T) {
 	if testing.Short() {
 		o.Seeds = 8
 	}
-	res, err := RunSoak(o)
-	if err != nil {
+	res := RunSoak(o)
+	if err := res.Verdict(); err != nil {
 		t.Fatal(err)
 	}
 	const resyncCeiling = 600 * time.Millisecond
 	for _, c := range res.Cells {
-		if len(c.Divergent) != 0 {
-			for _, d := range c.Divergent {
-				t.Log(d.Report)
-			}
-			t.Fatalf("%s/%s: %d seeds diverged", c.Profile, c.Pacemaker, len(c.Divergent))
-		}
-		if c.Faults == 0 {
-			t.Fatalf("%s/%s: the chaos plan injected no faults", c.Profile, c.Pacemaker)
-		}
 		if c.Unhealed*10 > c.Faults {
 			t.Fatalf("%s/%s: %d of %d faults never resynced (>10%%)", c.Profile, c.Pacemaker, c.Unhealed, c.Faults)
 		}
@@ -66,21 +57,12 @@ func TestSoakCrashProfile(t *testing.T) {
 	if testing.Short() {
 		o.Seeds = 8
 	}
-	res, err := RunSoak(o)
-	if err != nil {
+	res := RunSoak(o)
+	if err := res.Verdict(); err != nil {
 		t.Fatal(err)
 	}
 	const resyncCeiling = 900 * time.Millisecond
 	for _, c := range res.Cells {
-		if len(c.Divergent) != 0 {
-			for _, d := range c.Divergent {
-				t.Log(d.Report)
-			}
-			t.Fatalf("%s/%s: %d seeds diverged after crash/restart", c.Profile, c.Pacemaker, len(c.Divergent))
-		}
-		if c.Faults == 0 {
-			t.Fatalf("%s/%s: the chaos plan injected no crashes", c.Profile, c.Pacemaker)
-		}
 		if c.Unhealed*5 > c.Faults {
 			t.Fatalf("%s/%s: %d of %d crash victims never delivered again (>20%%)", c.Profile, c.Pacemaker, c.Unhealed, c.Faults)
 		}
@@ -95,14 +77,7 @@ func TestSoakCrashProfile(t *testing.T) {
 // tables on any host. This is what makes a soak number quotable.
 func TestSoakDeterministic(t *testing.T) {
 	o := SoakOptions{Seeds: 1, Instances: 2, Duration: 1200 * time.Millisecond}
-	a, err := RunSoak(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunSoak(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := RunSoak(o), RunSoak(o)
 	ta, tb := a.Table(), b.Table()
 	if ta.String() != tb.String() {
 		t.Fatalf("soak table not deterministic:\n--- run 1 ---\n%s--- run 2 ---\n%s", ta.String(), tb.String())
@@ -110,12 +85,7 @@ func TestSoakDeterministic(t *testing.T) {
 	if len(a.Cells) != 9 {
 		t.Fatalf("default sweep must cross 3 profiles × 3 arms, got %d cells", len(a.Cells))
 	}
-	for _, c := range a.Cells {
-		if c.Faults == 0 {
-			t.Fatalf("%s/%s: no faults injected", c.Profile, c.Pacemaker)
-		}
-		if len(c.Divergent) != 0 {
-			t.Fatalf("%s/%s: diverged under chaos", c.Profile, c.Pacemaker)
-		}
+	if err := a.Verdict(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -70,17 +70,6 @@ type CostModel struct {
 	Cores int
 }
 
-// DefaultCostModel returns the calibrated defaults (ed25519-class signing,
-// secp256k1-class verification as used by the paper's HotStuff port).
-func DefaultCostModel() CostModel {
-	return CostModel{
-		Sign:      22 * time.Microsecond,
-		Verify:    55 * time.Microsecond,
-		MAC:       700 * time.Nanosecond,
-		HashPerKB: 500 * time.Nanosecond,
-	}
-}
-
 // Charger accumulates modelled CPU time; the simulator's node context
 // implements it.
 type Charger interface {
