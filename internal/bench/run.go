@@ -110,8 +110,6 @@ type Options struct {
 	FastPath     bool // SpotLess geo fast path (§6.1)
 	NoBuffering  bool // disable ResilientDB-style message buffering (§6.1)
 	SkipQCVerify bool // HotStuff without backup-side QC verification
-
-	Debug bool
 }
 
 // Result is one measured data point.
@@ -233,7 +231,6 @@ func Run(o Options) Result {
 
 	scfg := simnet.DefaultConfig(n)
 	scfg.Seed = o.Seed
-	scfg.Debug = o.Debug
 	if o.Cores > 0 {
 		scfg.Cores = o.Cores
 	}

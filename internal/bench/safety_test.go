@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -45,5 +46,23 @@ func TestSafetyDrillLegacyReproducesFork(t *testing.T) {
 	o.Legacy = false
 	if strict := RunSafetyDrill(o); len(strict.Divergent) != 0 {
 		t.Fatalf("strict rules diverge on the legacy repro seed:\n%s", strict.Divergent[0].Report)
+	}
+}
+
+// TestSafetyDrillDigestRowsReplay: a digest-ordering safety seed is a pure
+// function of its seed. Both dissemination variants run twice at seeds 25,
+// 30 and 35 and must produce the same ledgers block-for-block. The layer's
+// backfill targets and lost-proposal requeue once followed map iteration
+// order into the event heap, so the same seed delivered a different number
+// of blocks from run to run.
+func TestSafetyDrillDigestRowsReplay(t *testing.T) {
+	for _, o := range []SafetyDrillOptions{{Dissem: true}, {Dissem: true, DissemCode: 2}} {
+		for _, seed := range []int64{25, 30, 35} {
+			a, b := runSafetySeed(o, seed), runSafetySeed(o, seed)
+			if !reflect.DeepEqual(a.ledgers, b.ledgers) {
+				t.Errorf("code k=%d seed %d: ledgers differ between two runs (%d vs %d blocks)",
+					o.DissemCode, seed, a.delivered(), b.delivered())
+			}
+		}
 	}
 }

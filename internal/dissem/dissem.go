@@ -22,6 +22,7 @@
 package dissem
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 	"time"
@@ -568,20 +569,24 @@ func (l *Layer) Backfill(id types.Digest, hint types.NodeID) {
 	if width > l.cfg.N-1 {
 		width = l.cfg.N - 1
 	}
-	targets := make(map[types.NodeID]bool, width+2)
+	targets := make([]bool, l.cfg.N)
 	if hint >= 0 && int(hint) < l.cfg.N && hint != l.self {
 		targets[hint] = true
 	}
 	for i, added := 0, 0; added < width && i < l.cfg.N; i++ {
-		p := types.NodeID((int(id[0]) + try + i) % l.cfg.N)
-		if p == l.self || targets[p] {
+		p := (int(id[0]) + try + i) % l.cfg.N
+		if types.NodeID(p) == l.self || targets[p] {
 			continue
 		}
 		targets[p] = true
 		added++
 	}
-	for p := range targets {
-		l.ctx.Send(p, req)
+	// Ascending node id: the send order reaches the simulator's event
+	// heap, so it must not depend on map iteration.
+	for p, ask := range targets {
+		if ask {
+			l.ctx.Send(types.NodeID(p), req)
+		}
 	}
 }
 
@@ -681,15 +686,19 @@ func (l *Layer) Ordered(id types.Digest) bool {
 func (l *Layer) requeueLost() {
 	now := l.ctx.Now()
 	l.mu.Lock()
+	var lost []*types.Batch
 	for _, e := range l.entries {
 		if e.mine && e.cert != nil && !e.ordered && !e.inReady &&
 			e.proposedAt > 0 && now-e.proposedAt > requeueAfter {
 			e.inReady = true
 			e.proposedAt = 0
-			l.ready = append(l.ready, e.batch)
-			l.stats.Requeued++
+			lost = append(lost, e.batch)
 		}
 	}
+	// Requeue in batch-ID order, not map order, so a seeded run replays.
+	sort.Slice(lost, func(i, j int) bool { return bytes.Compare(lost[i].ID[:], lost[j].ID[:]) < 0 })
+	l.ready = append(l.ready, lost...)
+	l.stats.Requeued += uint64(len(lost))
 	l.mu.Unlock()
 }
 

@@ -18,12 +18,8 @@ import (
 
 // Config parameterizes a HotStuff replica.
 type Config struct {
-	N, F int
-	// ViewTimeout is the pacemaker's initial timeout (adaptive: doubles on
-	// consecutive timeouts, halves on fast progress).
-	ViewTimeout time.Duration
-	MinTimeout  time.Duration
-	MaxTimeout  time.Duration
+	N, F       int
+	MinTimeout time.Duration
 	// Payload supplies the block content for a proposing leader; nil uses
 	// NextBatch(0). Narwhal-HS injects certified-batch references instead.
 	Payload func(v types.View) (*types.Batch, []types.Digest)
@@ -37,17 +33,22 @@ type Config struct {
 	Behavior protocol.Behavior
 }
 
+const (
+	// viewTimeout is the pacemaker's initial timeout (adaptive: doubles on
+	// consecutive timeouts, halves on fast progress).
+	viewTimeout = 300 * time.Millisecond
+	maxTimeout  = 5 * time.Second // the cap of that doubling
+)
+
 // DefaultConfig returns the tuned baseline configuration. The pacemaker
 // floor tracks the QC-verification latency (n−f signature checks sit on the
 // view critical path, §6.2), or large clusters churn on spurious timeouts.
 func DefaultConfig(n int) Config {
 	f := (n - 1) / 3
 	return Config{
-		N:           n,
-		F:           f,
-		ViewTimeout: 300 * time.Millisecond,
-		MinTimeout:  20*time.Millisecond + time.Duration(n-f)*300*time.Microsecond,
-		MaxTimeout:  5 * time.Second,
+		N:          n,
+		F:          f,
+		MinTimeout: 20*time.Millisecond + time.Duration(n-f)*300*time.Microsecond,
 	}
 }
 
@@ -98,7 +99,7 @@ func New(ctx protocol.Context, cfg Config) *Replica {
 		votes:    make(map[types.View]map[types.NodeID]types.Signature),
 		nvQC:     make(map[types.View]map[types.NodeID]bool),
 		lastExec: g,
-		timeout:  cfg.ViewTimeout,
+		timeout:  viewTimeout,
 		highQC:   types.QC{Genesis: true},
 		// Sentinel: a first timeout at view 1 is not "consecutive".
 		lastTOView: ^types.View(0) - 1,
@@ -447,7 +448,7 @@ func (r *Replica) HandleTimer(tag protocol.TimerTag) {
 		// Pacemaker timeout: advance the view and hand the next leader our
 		// highQC.
 		if r.lastTOView+1 == r.view {
-			r.timeout = min(r.timeout*2, r.cfg.MaxTimeout)
+			r.timeout = min(r.timeout*2, maxTimeout)
 		}
 		r.lastTOView = r.view
 		v := r.view + 1

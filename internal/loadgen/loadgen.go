@@ -16,16 +16,18 @@ import (
 // Workload parameterizes generated transactions (YCSB-style, §6: 90% writes
 // over a 500k-record table).
 type Workload struct {
-	BatchSize  int     // transactions per batch (paper default 100)
-	TxnValueSz int     // written payload bytes per transaction
-	WriteRatio float64 // fraction of write transactions (paper: 0.9)
-	Records    uint64  // key space (paper: 500k)
+	BatchSize  int    // transactions per batch (paper default 100)
+	TxnValueSz int    // written payload bytes per transaction
+	Records    uint64 // key space (paper: 500k)
 	Seed       int64
 }
 
+// writeRatio is the fraction of write transactions (paper: 0.9).
+const writeRatio = 0.9
+
 // DefaultWorkload mirrors §6's workload at the given batch size.
 func DefaultWorkload(batchSize int) Workload {
-	return Workload{BatchSize: batchSize, TxnValueSz: 33, WriteRatio: 0.9, Records: 500000, Seed: 7}
+	return Workload{BatchSize: batchSize, TxnValueSz: 33, Records: 500000, Seed: 7}
 }
 
 type batchMeta struct {
@@ -72,7 +74,7 @@ func NewSource(m, limit int, wl Workload) *Source {
 func (s *Source) enqueue(instance int32, now time.Duration) {
 	txns := make([]types.Transaction, s.wl.BatchSize)
 	for i := range txns {
-		op := OpForRatio(s.rng.Float64(), s.wl.WriteRatio)
+		op := OpForRatio(s.rng.Float64(), writeRatio)
 		var val []byte
 		if op == types.OpWrite {
 			val = make([]byte, s.wl.TxnValueSz)

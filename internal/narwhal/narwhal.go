@@ -19,33 +19,22 @@ import (
 // Config parameterizes a Narwhal-HS replica.
 type Config struct {
 	N, F int
-	// HS configures the embedded ordering instance.
-	HS hotstuff.Config
-	// DisseminateRetry re-polls the batch source when it ran dry.
-	DisseminateRetry time.Duration
-	// MaxRefsPerBlock caps how many certified batches one block orders.
-	MaxRefsPerBlock int
-	// Window is the per-worker dissemination flow-control window: batches
+}
+
+const (
+	// disseminateRetry re-polls the batch source when it ran dry.
+	disseminateRetry = time.Millisecond
+	// maxRefsPerBlock caps how many certified batches one block orders.
+	maxRefsPerBlock = 4096
+	// window is the per-worker dissemination flow-control window: batches
 	// broadcast but not yet ordered. It backpressures batch production to
 	// the certificate-verification capacity (the system bottleneck).
-	Window int
-}
+	window = 16
+)
 
 // DefaultConfig returns the tuned baseline configuration.
 func DefaultConfig(n int) Config {
-	hs := hotstuff.DefaultConfig(n)
-	// Certificate verification traffic inflates ordering-view latency well
-	// past bare HotStuff's; a higher pacemaker floor avoids spurious
-	// timeouts that would break the 3-chain.
-	hs.MinTimeout *= 3
-	return Config{
-		N:                n,
-		F:                (n - 1) / 3,
-		HS:               hs,
-		DisseminateRetry: time.Millisecond,
-		MaxRefsPerBlock:  4096,
-		Window:           16,
-	}
+	return Config{N: n, F: (n - 1) / 3}
 }
 
 type batchState struct {
@@ -91,7 +80,11 @@ func New(ctx protocol.Context, cfg Config) *Replica {
 		batches:   make(map[types.Digest]*batchState),
 		awaitRefs: make(map[types.Digest][]types.Commit),
 	}
-	hcfg := cfg.HS
+	// The embedded ordering instance. Certificate verification traffic
+	// inflates ordering-view latency well past bare HotStuff's; a higher
+	// pacemaker floor avoids spurious timeouts that would break the 3-chain.
+	hcfg := hotstuff.DefaultConfig(cfg.N)
+	hcfg.MinTimeout *= 3
 	hcfg.N, hcfg.F = cfg.N, cfg.F
 	hcfg.Payload = r.payload
 	hcfg.OnCommit = r.onCommit
@@ -112,12 +105,12 @@ func (r *Replica) Start() {
 // disseminate broadcasts the replica's next client batch; each replica is
 // its own dissemination worker (load-balanced bandwidth, §6.2).
 func (r *Replica) disseminate() {
-	if r.inflight >= r.cfg.Window {
+	if r.inflight >= window {
 		return // flow control; resumed when an own batch is ordered
 	}
 	batch := r.ctx.NextBatch(int32(r.ctx.ID()))
 	if batch == nil {
-		r.ctx.SetTimer(r.cfg.DisseminateRetry, protocol.TimerTag{Kind: timerDisseminate})
+		r.ctx.SetTimer(disseminateRetry, protocol.TimerTag{Kind: timerDisseminate})
 		return
 	}
 	r.inflight++
@@ -129,7 +122,7 @@ func (r *Replica) disseminate() {
 	r.onAck(r.ctx.ID(), &types.NarwhalAck{Origin: r.ctx.ID(), BatchID: batch.ID,
 		Sig: r.ctx.Crypto().Sign(batch.ID[:])})
 	// Keep the pipeline full: next batch immediately.
-	r.ctx.SetTimer(r.cfg.DisseminateRetry, protocol.TimerTag{Kind: timerDisseminate})
+	r.ctx.SetTimer(disseminateRetry, protocol.TimerTag{Kind: timerDisseminate})
 }
 
 // HandleMessage implements protocol.Protocol.
@@ -293,8 +286,8 @@ func (r *Replica) payload(v types.View) (*types.Batch, []types.Digest) {
 	if nrefs == 0 {
 		return nil, nil
 	}
-	if nrefs > r.cfg.MaxRefsPerBlock {
-		nrefs = r.cfg.MaxRefsPerBlock
+	if nrefs > maxRefsPerBlock {
+		nrefs = maxRefsPerBlock
 	}
 	refs := make([]types.Digest, nrefs)
 	copy(refs, r.pendingRefs[:nrefs])

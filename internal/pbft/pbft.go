@@ -32,9 +32,10 @@ type Config struct {
 	// ProgressTimeout triggers a view change when no slot is delivered
 	// while the pipeline is non-empty.
 	ProgressTimeout time.Duration
-	// ProposeRetry re-polls the batch source when it ran dry.
-	ProposeRetry time.Duration
 }
+
+// proposeRetry re-polls the batch source when it ran dry.
+const proposeRetry = 2 * time.Millisecond
 
 // DefaultConfig returns the tuned baseline configuration.
 func DefaultConfig(n int) Config {
@@ -45,7 +46,6 @@ func DefaultConfig(n int) Config {
 		// The watchdog must sit above the worst-case slot latency, which
 		// grows with the all-to-all phases' serialization at scale.
 		ProgressTimeout: 150*time.Millisecond + time.Duration(n)*3*time.Millisecond,
-		ProposeRetry:    2 * time.Millisecond,
 	}
 }
 
@@ -145,7 +145,7 @@ func (r *Replica) fillPipeline() {
 		batch := r.ctx.NextBatch(r.cfg.Instance)
 		if batch == nil {
 			if !proposed {
-				r.ctx.SetTimer(r.cfg.ProposeRetry, protocol.TimerTag{Kind: protocol.TimerPropose, Instance: r.cfg.Instance})
+				r.ctx.SetTimer(proposeRetry, protocol.TimerTag{Kind: protocol.TimerPropose, Instance: r.cfg.Instance})
 			}
 			return
 		}

@@ -21,23 +21,24 @@ type Config struct {
 	Instances int
 	// Window is the per-instance out-of-order depth.
 	Window int
-	// DetectInterval is the failure-detector period.
-	DetectInterval time.Duration
-	// BasePenalty is the first suspension length; it doubles per repeated
+}
+
+const (
+	// detectInterval is the failure-detector period.
+	detectInterval = 150 * time.Millisecond
+	// basePenalty is the first suspension length; it doubles per repeated
 	// failure of the same instance ("exponentially increasing number of
 	// rounds", §1).
-	BasePenalty time.Duration
-}
+	basePenalty = 500 * time.Millisecond
+)
 
 // DefaultConfig returns the tuned baseline configuration.
 func DefaultConfig(n, m int) Config {
 	return Config{
-		N:              n,
-		F:              (n - 1) / 3,
-		Instances:      m,
-		Window:         64,
-		DetectInterval: 150 * time.Millisecond,
-		BasePenalty:    500 * time.Millisecond,
+		N:         n,
+		F:         (n - 1) / 3,
+		Instances: m,
+		Window:    64,
 	}
 }
 
@@ -85,13 +86,12 @@ func New(ctx protocol.Context, cfg Config) *Replica {
 			Instance:        int32(i),
 			PrimaryBase:     types.NodeID(i), // fixed primary per instance
 			Window:          cfg.Window,
-			ProgressTimeout: cfg.DetectInterval,
-			ProposeRetry:    2 * time.Millisecond,
+			ProgressTimeout: detectInterval,
 		}
 		is := &instanceState{
 			pb:         pbft.New(ctx, pcfg),
 			complaints: make(map[uint64]map[types.NodeID]bool),
-			penalty:    cfg.BasePenalty,
+			penalty:    basePenalty,
 		}
 		idx := i
 		is.pb.OnDeliver = func(seq uint64, batch *types.Batch, digest types.Digest) {
@@ -107,7 +107,7 @@ func (r *Replica) Start() {
 	for _, is := range r.inst {
 		is.pb.Start()
 	}
-	r.ctx.SetTimer(r.cfg.DetectInterval, protocol.TimerTag{Kind: timerDetect})
+	r.ctx.SetTimer(detectInterval, protocol.TimerTag{Kind: timerDetect})
 }
 
 // HandleMessage implements protocol.Protocol.
@@ -154,7 +154,7 @@ func instanceOf(msg types.Message) (int32, bool) {
 func (r *Replica) HandleTimer(tag protocol.TimerTag) {
 	if tag.Kind == timerDetect {
 		r.detect()
-		r.ctx.SetTimer(r.cfg.DetectInterval, protocol.TimerTag{Kind: timerDetect})
+		r.ctx.SetTimer(detectInterval, protocol.TimerTag{Kind: timerDetect})
 		return
 	}
 	if int(tag.Instance) < len(r.inst) {
@@ -185,7 +185,7 @@ func (r *Replica) detect() {
 				is.pb.Suspend(false)
 				is.lastSeen = is.pb.LowWater()
 				is.stallTicks = 0
-				is.graceUntil = now + 4*r.cfg.DetectInterval
+				is.graceUntil = now + 4*detectInterval
 			}
 			continue
 		}

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -449,4 +450,109 @@ func TestClusterFullPowerCutRestart(t *testing.T) {
 		}
 		assertNoDuplicateRecords(t, ex.Ledger().Blocks(0, 0))
 	}
+}
+
+// TestClusterDurableRejectedResumeRejoins: a killed durable replica
+// whose manifest carries a checkpoint certificate with one wrong signature
+// (the manifest CRC is intact, so the WAL itself accepts it) must refuse
+// the resume. It boots with no stable checkpoint and its truncated chain
+// reset to genesis, because consensus restarts at delivery 0 and a chain
+// based above genesis would desync every appended height; it then rejoins
+// over the network and converges with the others.
+func TestClusterDurableRejectedResumeRejoins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time integration test")
+	}
+	fss := make([]*wal.MemFS, 4)
+	for i := range fss {
+		fss[i] = wal.NewMemFS()
+	}
+	src := newQueueSource(1, 400, 5)
+	cl, err := runtime.NewCluster(runtime.ClusterConfig{
+		N: 4, Instances: 1, Source: src,
+		CheckpointInterval: 4,
+		DataDir:            "reject",
+		FSFor:              func(i int) wal.FS { return fss[i] },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+
+	const victim = 3
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !ok() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	// A truncated chain makes the reset observable: its base is the stable
+	// checkpoint, not genesis.
+	waitFor("a persisted checkpoint and a truncated chain", func() bool {
+		return cl.Replicas[victim].StableHeight() > 0 && cl.Execs[victim].Ledger().Snapshot().Height > 0
+	})
+	cl.Kill(victim)
+
+	st, rec, err := wal.Open("reject/r3", wal.Config{FS: fss[victim]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := rec.Checkpoint
+	if ck == nil {
+		t.Fatal("the killed replica persisted no checkpoint")
+	}
+	cert := ck.Cert
+	cert.Sigs = append([]types.Signature(nil), cert.Sigs...)
+	cert.Sigs[0].Bytes = append([]byte(nil), cert.Sigs[0].Bytes...)
+	cert.Sigs[0].Bytes[0] ^= 0xff
+	if err := errors.Join(st.SetCheckpoint(cert, ck.ExecHash, ck.Resume, ck.Anchors), st.Close()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold the victim's inbound links while it boots, so what it booted
+	// with cannot be overwritten by a state transfer before it is checked.
+	isolate := func(drop bool) {
+		for p := types.NodeID(0); p < victim; p++ {
+			cl.Transport.SetDrop(p, victim, drop)
+		}
+	}
+	isolate(true)
+	if err := cl.Restart(victim); err != nil {
+		t.Fatal(err)
+	}
+	if h := cl.Replicas[victim].StableHeight(); h != 0 {
+		t.Fatalf("restart resumed from a checkpoint at %d under a forged certificate signature", h)
+	}
+	lg := cl.Execs[victim].Ledger()
+	if base, h := lg.Snapshot().Height, lg.Height(); base != 0 || h != 0 {
+		t.Fatalf("rejected resume kept the chain (base %d, head %d), want it reset to genesis", base, h)
+	}
+	isolate(false)
+
+	drained := func() bool {
+		src.mu.Lock()
+		defer src.mu.Unlock()
+		return len(src.queues[0]) == 0
+	}
+	waitFor("the load to drain and the ledgers to converge", func() bool {
+		if !drained() || cl.Replicas[victim].StableHeight() == 0 {
+			return false
+		}
+		h0, d0 := cl.Execs[0].Ledger().Head()
+		for i := 1; i < 4; i++ {
+			if h, d := cl.Execs[i].Ledger().Head(); h != h0 || d != d0 {
+				return false
+			}
+		}
+		return true
+	})
+	cl.Stop()
+	if err := cl.Execs[victim].Ledger().Verify(); err != nil {
+		t.Fatalf("rejoined ledger does not verify: %v", err)
+	}
+	assertNoDuplicateRecords(t, cl.Execs[victim].Ledger().Blocks(0, 0))
 }

@@ -101,7 +101,6 @@ type Node struct {
 
 	dropped atomic.Uint64 // inbox overflow (backpressure signal)
 	badSigs atomic.Uint64 // messages dropped by ingress verification
-	Debug   func(format string, args ...any)
 }
 
 // ingressRef wraps the interface for atomic publication to transport
@@ -189,12 +188,8 @@ type NodeConfig struct {
 	Crypto    crypto.Provider
 	Source    BatchSource
 	Executor  Executor
-	// InboxDepth bounds the event queue (default 1 << 16).
-	InboxDepth int
-	// VerifyWorkers bounds the verification pool (default GOMAXPROCS).
-	VerifyWorkers int
 	// PreVerified declares that the transport already screens inbound
-	// signatures (e.g. transport.Config.Ingress), disabling the node-level
+	// signatures (e.g. transport.TCP.SetIngress), disabling the node-level
 	// ingress screening to avoid verifying twice. VerifyAsync still uses
 	// the node's pool.
 	PreVerified bool
@@ -207,12 +202,15 @@ type NodeConfig struct {
 	Workers int
 }
 
+const (
+	// inboxDepth bounds the event queue.
+	inboxDepth = 1 << 16
+	// verifyWorkers bounds the verification pool; 0 sizes it to GOMAXPROCS.
+	verifyWorkers = 0
+)
+
 // NewNode creates a node; attach the protocol with SetProtocol, then Start.
 func NewNode(cfg NodeConfig) *Node {
-	depth := cfg.InboxDepth
-	if depth == 0 {
-		depth = 1 << 16
-	}
 	n := &Node{
 		id:          cfg.ID,
 		n:           cfg.N,
@@ -221,9 +219,9 @@ func NewNode(cfg NodeConfig) *Node {
 		crypto:      cfg.Crypto,
 		src:         cfg.Source,
 		exec:        cfg.Executor,
-		inbox:       make(chan event, depth),
+		inbox:       make(chan event, inboxDepth),
 		done:        make(chan struct{}),
-		verifier:    crypto.NewPoolVerifier(cfg.Crypto, cfg.VerifyWorkers),
+		verifier:    crypto.NewPoolVerifier(cfg.Crypto, verifyWorkers),
 		preVerified: cfg.PreVerified,
 		workers:     cfg.Workers,
 	}
@@ -533,12 +531,8 @@ func (n *Node) NextBatch(instance int32) *types.Batch {
 	return n.src.Next(instance, n.Now())
 }
 
-// Logf implements protocol.Context.
-func (n *Node) Logf(format string, args ...any) {
-	if n.Debug != nil {
-		n.Debug(format, args...)
-	}
-}
+// Logf implements protocol.Context; runtime nodes keep no debug log.
+func (n *Node) Logf(string, ...any) {}
 
 // --- in-process transport ---
 

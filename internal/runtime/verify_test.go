@@ -58,7 +58,7 @@ func newProbeNode(t *testing.T) (*runtime.Node, *sigProbe, *runtime.LocalTranspo
 	}
 	trans := runtime.NewLocalTransport()
 	node := runtime.NewNode(runtime.NodeConfig{
-		ID: 1, N: 2, F: 0, Transport: trans, Crypto: prov, VerifyWorkers: 2,
+		ID: 1, N: 2, F: 0, Transport: trans, Crypto: prov,
 	})
 	probe := &sigProbe{
 		ctx: node,

@@ -51,10 +51,6 @@ type ChaosConfig struct {
 	// lands at or after Start, every heal lands before End, so the run
 	// tail past End measures the last resync.
 	Start, End time.Duration
-	// MeanFault/MeanGap set the average episode length and inter-episode
-	// gap; each is jittered ±50% per episode. Defaults: 120ms / 150ms.
-	MeanFault time.Duration
-	MeanGap   time.Duration
 	// Restart rebuilds a crashed replica at a crash episode's heal point —
 	// required by ProfileCrash, which otherwise fails InstallChaos. The
 	// callback runs inside the simulation loop and should call
@@ -63,6 +59,13 @@ type ChaosConfig struct {
 	// state transfer).
 	Restart func(types.NodeID)
 }
+
+// meanFault and meanGap are the average episode length and inter-episode
+// gap; each is jittered ±50% per episode.
+const (
+	meanFault = 120 * time.Millisecond
+	meanGap   = 150 * time.Millisecond
+)
 
 // FaultRecord is one planned fault episode: the harness measures
 // time-to-resync from Heal and commit loss across [At, Heal].
@@ -92,20 +95,14 @@ func (s *Simulation) InstallChaos(cfg ChaosConfig) ([]FaultRecord, error) {
 	if cfg.N <= 0 {
 		cfg.N = s.cfg.N
 	}
-	if cfg.MeanFault <= 0 {
-		cfg.MeanFault = 120 * time.Millisecond
-	}
-	if cfg.MeanGap <= 0 {
-		cfg.MeanGap = 150 * time.Millisecond
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f := (cfg.N - 1) / 3
 
 	var plan []FaultRecord
 	kind := cfg.Profile
-	at := cfg.Start + jitter(rng, cfg.MeanGap)/2
+	at := cfg.Start + jitter(rng, meanGap)/2
 	for {
-		dur := jitter(rng, cfg.MeanFault)
+		dur := jitter(rng, meanFault)
 		if at+dur >= cfg.End {
 			break
 		}
@@ -136,7 +133,7 @@ func (s *Simulation) InstallChaos(cfg ChaosConfig) ([]FaultRecord, error) {
 			s.scheduleCrash(rec.Victims[0], cfg.Restart, rec.At, rec.Heal)
 		}
 		plan = append(plan, rec)
-		at = rec.Heal + jitter(rng, cfg.MeanGap)
+		at = rec.Heal + jitter(rng, meanGap)
 	}
 	return plan, nil
 }

@@ -18,7 +18,6 @@
 package simnet
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -46,16 +45,13 @@ type Config struct {
 	// pipeline at work/Cores regardless of instance.
 	InstanceWorkers int
 
-	BandwidthMbps       float64 // egress bandwidth per replica
-	ClientBandwidthMbps float64 // egress bandwidth of the aggregate client node
+	BandwidthMbps float64 // egress bandwidth per replica
 
 	Regions       []int       // region of each replica (nil: all in region 0)
 	RegionDelayMs [][]float64 // one-way inter-region propagation (ms)
-	LocalDelay    time.Duration
 	Jitter        time.Duration
 
 	ExecRate        float64       // sequential execution rate, txn/s (paper: 340k)
-	PerTxnCPU       time.Duration // per-transaction bookkeeping on the core pool
 	BaseHandlerCost time.Duration // per-message non-crypto processing cost
 
 	BufferBytes int           // flush threshold of the message buffer
@@ -64,25 +60,30 @@ type Config struct {
 	LossRate float64 // per-packet loss probability (testing)
 
 	Costs crypto.CostModel
-
-	Debug bool
 }
+
+const (
+	// clientBandwidthMbps is the egress bandwidth of the aggregate client
+	// node.
+	clientBandwidthMbps = 400000
+	// localDelay is the one-way propagation delay within a region.
+	localDelay = 250 * time.Microsecond
+	// perTxnCPU is the per-transaction bookkeeping on the core pool.
+	perTxnCPU = 2 * time.Microsecond
+)
 
 // DefaultConfig returns parameters calibrated against §6.1 for n replicas.
 func DefaultConfig(n int) Config {
 	return Config{
-		N:                   n,
-		Seed:                1,
-		Cores:               16,
-		BandwidthMbps:       2400,
-		ClientBandwidthMbps: 400000,
-		LocalDelay:          250 * time.Microsecond,
-		Jitter:              50 * time.Microsecond,
-		ExecRate:            340000,
-		PerTxnCPU:           2 * time.Microsecond,
-		BaseHandlerCost:     15 * time.Microsecond,
-		BufferBytes:         16 << 10,
-		BufferDelay:         150 * time.Microsecond,
+		N:               n,
+		Seed:            1,
+		Cores:           16,
+		BandwidthMbps:   2400,
+		Jitter:          50 * time.Microsecond,
+		ExecRate:        340000,
+		BaseHandlerCost: 15 * time.Microsecond,
+		BufferBytes:     16 << 10,
+		BufferDelay:     150 * time.Microsecond,
 		Costs: crypto.CostModel{
 			Sign:      60 * time.Microsecond,
 			Verify:    130 * time.Microsecond, // secp256k1-class (§6.2)
@@ -98,12 +99,11 @@ const ClientNode = types.ClientIDBase
 
 // Stats aggregates counters over a simulation run.
 type Stats struct {
-	MessagesSent   uint64 // protocol messages (not packets)
-	PacketsSent    uint64 // buffered packets on the wire
-	BytesSent      uint64
-	EventsRun      uint64
-	TimersFired    uint64
-	MessagesByKind map[string]uint64
+	MessagesSent uint64 // protocol messages (not packets)
+	PacketsSent  uint64 // buffered packets on the wire
+	BytesSent    uint64
+	EventsRun    uint64
+	TimersFired  uint64
 	// NodeBytesSent is per-sender egress volume (modelled wire bytes,
 	// self-sends excluded), indexed by node — replica ids first, then the
 	// client node. Per-node attribution is what the dissemination-egress
@@ -259,7 +259,6 @@ func New(cfg Config) *Simulation {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		blocked: make(map[[2]int32]bool),
 	}
-	s.stats.MessagesByKind = make(map[string]uint64)
 	s.stats.NodeBytesSent = make([]uint64, cfg.N+1)
 	total := cfg.N + 1 // replicas + client node
 	s.nodes = make([]*simNode, total)
@@ -278,7 +277,7 @@ func New(cfg Config) *Simulation {
 		if i == cfg.N { // client node
 			n.id = ClientNode
 			n.cores = 1 << 10
-			n.bwBps = cfg.ClientBandwidthMbps * 1e6 / 8
+			n.bwBps = clientBandwidthMbps * 1e6 / 8
 			n.execCost = 0
 		}
 		n.ctx = &nodeCtx{s: s, n: n}
@@ -649,9 +648,9 @@ func (s *Simulation) execute(n *simNode, c types.Commit, at time.Duration) {
 	// model) or to the ordering lane's dedicated core (lane model — the
 	// ordering stage is what hands batches to execution).
 	if n.lanes != nil {
-		n.lanes[len(n.lanes)-1] += time.Duration(txns) * s.cfg.PerTxnCPU
+		n.lanes[len(n.lanes)-1] += time.Duration(txns) * perTxnCPU
 	} else {
-		n.cpuBusyUntil += time.Duration(txns) * s.cfg.PerTxnCPU / time.Duration(n.cores)
+		n.cpuBusyUntil += time.Duration(txns) * perTxnCPU / time.Duration(n.cores)
 	}
 	s.enqueueSendSized(n, ClientNode, inform, types.InformWireSize(txns), done)
 }
@@ -665,9 +664,6 @@ func (s *Simulation) enqueueSendSized(n *simNode, to types.NodeID, msg types.Mes
 	dest := s.node(to)
 	s.stats.MessagesSent++
 	s.stats.BytesSent += uint64(size)
-	if s.cfg.Debug {
-		s.stats.MessagesByKind[fmt.Sprintf("%T", msg)]++
-	}
 	if dest.idx == n.idx { // self-send: direct delivery, no network
 		s.push(event{at: at, kind: evDeliver, node: n.idx, from: n.id, msgs: []types.Message{msg}})
 		return
@@ -746,7 +742,7 @@ func (s *Simulation) flush(n *simNode, destIdx int32, at time.Duration) {
 
 func (s *Simulation) propDelay(a, b *simNode) time.Duration {
 	if a.region == b.region || s.cfg.RegionDelayMs == nil {
-		return s.cfg.LocalDelay
+		return localDelay
 	}
 	ms := s.cfg.RegionDelayMs[a.region][b.region]
 	return time.Duration(ms * float64(time.Millisecond))
@@ -914,8 +910,5 @@ func (c *nodeCtx) NextBatch(instance int32) *types.Batch {
 	return c.s.src.Next(instance, c.Now())
 }
 
-func (c *nodeCtx) Logf(format string, args ...any) {
-	if c.s.cfg.Debug {
-		fmt.Printf("[%8.3fms n%d] %s\n", float64(c.Now())/float64(time.Millisecond), c.n.id, fmt.Sprintf(format, args...))
-	}
-}
+// Logf implements protocol.Context; simulated nodes keep no debug log.
+func (c *nodeCtx) Logf(string, ...any) {}

@@ -41,7 +41,6 @@ func TestDeliveryLatencyModel(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Jitter = 0
 	cfg.BufferDelay = 100 * time.Microsecond
-	cfg.LocalDelay = 250 * time.Microsecond
 	cfg.BaseHandlerCost = 0
 	sim := New(cfg)
 	sender := &starter{}
@@ -57,7 +56,7 @@ func TestDeliveryLatencyModel(t *testing.T) {
 	}
 	at := recv.gotAt[0]
 	ser := time.Duration(float64(types.ControlMsgSize) / (cfg.BandwidthMbps * 1e6 / 8) * float64(time.Second))
-	min := cfg.BufferDelay + cfg.LocalDelay
+	min := cfg.BufferDelay + localDelay
 	max := min + ser + 200*time.Microsecond
 	if at < min || at > max {
 		t.Fatalf("delivery at %v, want within [%v, %v]", at, min, max)
@@ -217,9 +216,7 @@ func TestDeterminism(t *testing.T) {
 		sim.SetProtocol(2, &echoProto{ctx: sim.Context(2)})
 		sim.Start()
 		sim.Run(100 * time.Millisecond)
-		s := sim.Stats()
-		s.MessagesByKind = nil
-		return s
+		return sim.Stats()
 	}
 	prop := func(seed int64) bool {
 		a, b := runOnce(seed), runOnce(seed)

@@ -132,29 +132,29 @@ type Config struct {
 	Listen string                  // listen address ("" for pure clients)
 	Peers  map[types.NodeID]string // addresses this endpoint dials
 	Crypto crypto.Provider         // MAC provider (pairwise keys)
-	// DialRetry is the reconnect backoff (default 250 ms).
-	DialRetry time.Duration
 	// QueueDepth bounds each peer's send queue (default 8192).
 	QueueDepth int
-
-	// Ingress, when set, screens every decoded inbound message before it
-	// reaches the registered receiver: the checks the protocol declares for
-	// the message must pass or it is dropped. MAC verification always runs
-	// on the connection's reader goroutine (off any event loop); Ingress
-	// signature checks run on Verifier — typically the replica's shared
-	// worker pool — so certificate batches fan out across cores while the
-	// reader pipelines the next frame. Set via SetIngress when the protocol
-	// is constructed after the transport.
-	Ingress protocol.IngressVerifier
-	// Verifier executes Ingress checks (default: serial on the reader).
-	Verifier crypto.Verifier
 }
+
+// dialRetry is the reconnect backoff.
+const dialRetry = 250 * time.Millisecond
 
 // TCP is a runtime.Transport over TCP sockets.
 type TCP struct {
 	cfg  Config
 	mu   sync.RWMutex
 	recv func(from types.NodeID, msg types.Message)
+
+	// ingress, when set (SetIngress), screens every decoded inbound message
+	// before it reaches the registered receiver: the checks the protocol
+	// declares for the message must pass or it is dropped. MAC verification
+	// always runs on the connection's reader goroutine (off any event loop);
+	// ingress signature checks run on verifier — typically the replica's
+	// shared worker pool — so certificate batches fan out across cores while
+	// the reader pipelines the next frame. A nil verifier checks serially on
+	// the reader.
+	ingress  protocol.IngressVerifier
+	verifier crypto.Verifier
 
 	dialed   map[types.NodeID]*peer // peers we dial (from cfg.Peers)
 	accepted map[types.NodeID]*peer // inbound-only peers (clients)
@@ -198,9 +198,6 @@ func (p *peer) setConn(c net.Conn) {
 
 // New creates a transport endpoint; call Start to listen and dial.
 func New(cfg Config) *TCP {
-	if cfg.DialRetry == 0 {
-		cfg.DialRetry = 250 * time.Millisecond
-	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 8192
 	}
@@ -226,8 +223,8 @@ func (t *TCP) Register(id types.NodeID, recv func(from types.NodeID, msg types.M
 func (t *TCP) SetIngress(iv protocol.IngressVerifier, v crypto.Verifier) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.cfg.Ingress = iv
-	t.cfg.Verifier = v
+	t.ingress = iv
+	t.verifier = v
 }
 
 // Stats returns a snapshot of the transport's counters.
@@ -248,7 +245,7 @@ func (t *TCP) Stats() Stats {
 // runs on a connection reader goroutine, after the frame's MAC verified.
 func (t *TCP) screen(from types.NodeID, msg types.Message) bool {
 	t.mu.RLock()
-	iv, v := t.cfg.Ingress, t.cfg.Verifier
+	iv, v := t.ingress, t.verifier
 	t.mu.RUnlock()
 	if iv == nil {
 		return true
@@ -439,7 +436,7 @@ func (t *TCP) dialLoop(p *peer) {
 		conn, err := net.Dial("tcp", p.addr)
 		if err != nil {
 			select {
-			case <-time.After(t.cfg.DialRetry):
+			case <-time.After(dialRetry):
 				continue
 			case <-t.done:
 				return
