@@ -150,7 +150,8 @@ func main() {
 			applied := store.Applied()
 			rate := float64(applied-lastApplied) / stats.Seconds()
 			lastApplied = applied
-			log.Printf("executed=%d (%.0f txn/s) ledger-height=%d", applied, rate, lg.Height())
+			log.Printf("executed=%d (%.0f txn/s) ledger-height=%d dropped=%d bad-sigs=%d",
+				applied, rate, lg.Height(), rep.Node.Dropped(), rep.Node.BadSigs())
 		case <-stop:
 			if err := rep.Stop(); err != nil {
 				log.Printf("wal close FAILED: %v", err)

@@ -123,24 +123,14 @@ func (s *Source) release(id types.Digest, now time.Duration) (meta *batchMeta, o
 	return m, true
 }
 
-// BatchMeta is the completion record of a released batch, for harnesses
-// that drive the closed loop themselves (the runtime TCP benchmark).
-type BatchMeta struct {
-	Instance  int32
-	Submitted time.Duration
-	Txns      int
-}
-
 // Release completes one batch and replenishes its instance's credit — the
-// exported counterpart of the Collector's internal step. Not safe for
-// concurrent use; callers serialize (the Collector runs on the client
-// node's event loop, the runtime bench under its client mutex).
-func (s *Source) Release(id types.Digest, now time.Duration) (BatchMeta, bool) {
-	m, ok := s.release(id, now)
-	if !ok {
-		return BatchMeta{}, false
-	}
-	return BatchMeta{Instance: m.instance, Submitted: m.submitted, Txns: m.txns}, true
+// exported counterpart of the Collector's internal step, for the drills'
+// retransmission timer, which replaces batches lost with a killed primary.
+// Unknown or already completed ids are ignored. Not safe for concurrent
+// use; callers serialize (the Collector and the drills both run on the
+// simulator's event loop).
+func (s *Source) Release(id types.Digest, now time.Duration) {
+	s.release(id, now)
 }
 
 // TimelinePoint is one bucket of the throughput timeline (Figure 12).

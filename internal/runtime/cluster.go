@@ -452,14 +452,14 @@ func (e *ReplicaExecutor) adoptSnapshot(chunk *types.StateChunk, snap *ycsb.Tabl
 	}
 }
 
-// SafeSource makes any BatchSource safe for concurrent nodes.
-type SafeSource struct {
+// safeSource makes any BatchSource safe for concurrent nodes.
+type safeSource struct {
 	mu  sync.Mutex
 	src BatchSource
 }
 
 // Next implements BatchSource.
-func (s *SafeSource) Next(instance int32, now time.Duration) *types.Batch {
+func (s *safeSource) Next(instance int32, now time.Duration) *types.Batch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.src.Next(instance, now)
@@ -554,7 +554,7 @@ type Cluster struct {
 // ClusterConfig parameterizes NewCluster.
 type ClusterConfig struct {
 	N, Instances int
-	Source       BatchSource // shared (wrapped in SafeSource)
+	Source       BatchSource // shared (wrapped in safeSource)
 	Records      uint64      // YCSB table size (default 10k for fast startup)
 	// CheckpointInterval is the checkpoint/GC/state-transfer interval in
 	// delivered batches (core.Config.CheckpointInterval). 0 selects the
@@ -636,7 +636,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	trans.Register(clientID, cl.Client.Receive)
 
 	if cfg.Source != nil {
-		cl.src = &SafeSource{src: cfg.Source}
+		cl.src = &safeSource{src: cfg.Source}
 	}
 	cl.Nodes = make([]*Node, n)
 	cl.Replicas = make([]*core.Replica, n)

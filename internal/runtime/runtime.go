@@ -1,13 +1,14 @@
 // Package runtime hosts the event-driven protocols of this repository on a
-// real-time substrate: every replica runs a single-goroutine event loop fed
-// by a transport (in-process channels or TCP) and wall-clock timers, with
-// real cryptography (ed25519 + HMAC), real YCSB execution, and the
-// blockchain ledger. Inbound messages are screened by the verification
-// pipeline (a bounded crypto.PoolVerifier worker pool) before they reach
-// the loop. The in-process Cluster wires checkpointing end to end — the
-// executor implements core.StateHost over the ledger — and supports
-// crash-recovery drills via Kill/Restart. It is the deployable counterpart
-// of internal/simnet.
+// real-time substrate: every replica runs its protocol on mailbox event
+// loops (one ordering mailbox, plus instance mailboxes for an
+// instance-parallel protocol) fed by a transport (in-process channels or
+// TCP) and wall-clock timers, with real cryptography (ed25519 + HMAC), real
+// YCSB execution, and the blockchain ledger. Inbound messages are screened
+// by the verification pipeline (a bounded crypto.PoolVerifier worker pool)
+// before they reach a mailbox. The in-process Cluster wires checkpointing
+// end to end — the executor implements core.StateHost over the ledger —
+// and supports crash-recovery drills via Kill/Restart. It is the
+// deployable counterpart of internal/simnet.
 package runtime
 
 import (
@@ -51,15 +52,20 @@ type Executor interface {
 }
 
 type event struct {
-	kind byte // 0 message, 1 timer, 2 func, 3 verification completion
-	from types.NodeID
-	msg  types.Message
-	tag  protocol.TimerTag
-	ok   bool // verification verdict (kind 3)
-	fn   func()
+	kind   byte // 0 message, 1 timer, 2 func, 3 verification completion
+	routed bool // message posted to its shard's mailbox by the router (kind 0)
+	from   types.NodeID
+	msg    types.Message
+	tag    protocol.TimerTag
+	ok     bool // verification verdict (kind 3)
+	fn     func()
 }
 
-// Node is one protocol host.
+// Node is one protocol host. Every event reaches the protocol through a
+// mailbox drained by its own goroutine. The ordering mailbox always exists
+// and, on a single-mailbox node (NodeConfig.Workers ≤ 1 or a non-sharded
+// protocol), carries every event; with instance parallelism, instance
+// mailboxes sit in front of it and it hosts the serialized ordering stage.
 type Node struct {
 	id     types.NodeID
 	n, f   int
@@ -71,35 +77,33 @@ type Node struct {
 	exec   Executor
 
 	proto    protocol.Protocol
-	inbox    chan event
 	start    time.Time
 	done     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// Instance sharding (protocol.ShardedProtocol + NodeConfig.Workers > 1):
-	// events are routed to per-shard mailboxes — workers instance mailboxes
-	// plus one ordering mailbox (the last element) — each drained by its own
-	// goroutine, so the m consensus instances process messages, timers, and
-	// verification completions concurrently while the ordering stage stays
-	// serialized. router is published atomically because transport reader
-	// goroutines race SetProtocol (a restarted replica registers while peers
-	// are already sending); events received before the router exists land in
-	// inbox and are forwarded by the ordering loop.
-	shards  []*mbox
-	router  atomic.Pointer[shardRef]
-	workers int
+	// ordering is set by NewNode and never replaced, so transport goroutines
+	// may post to it before SetProtocol runs. Instance sharding
+	// (protocol.ShardedProtocol + NodeConfig.Workers > 1) publishes the
+	// instance mailboxes with the router in one atomic shardRef, because
+	// transport reader goroutines race SetProtocol (a restarted replica
+	// registers while peers are already sending); messages received before
+	// the router exists wait on the ordering mailbox and the ordering loop
+	// forwards them to their shard.
+	ordering *mbox
+	router   atomic.Pointer[shardRef]
+	workers  int
 
 	// Verification pipeline: inbound messages whose protocol declares
 	// signature checks (protocol.IngressVerifier) are verified on this
-	// bounded worker pool before they are posted to the event loop, so the
-	// single-threaded state machine only consumes pre-verified messages.
+	// bounded worker pool before they are posted to a mailbox, so the
+	// single-threaded state machines only consume pre-verified messages.
 	// VerifyAsync jobs share the same pool.
 	verifier    *crypto.PoolVerifier
 	ingress     atomic.Pointer[ingressRef]
 	preVerified bool
 
-	dropped atomic.Uint64 // inbox overflow (backpressure signal)
+	dropped atomic.Uint64 // messages shed on a full mailbox (backpressure signal)
 	badSigs atomic.Uint64 // messages dropped by ingress verification
 }
 
@@ -107,30 +111,35 @@ type Node struct {
 // goroutines.
 type ingressRef struct{ iv protocol.IngressVerifier }
 
-// shardRef wraps the sharded-dispatch routing state for atomic publication.
-type shardRef struct{ sp protocol.ShardedProtocol }
+// shardRef wraps the sharded-dispatch routing state for atomic publication:
+// the router and the instance mailboxes (instance i on shards[i mod len]).
+type shardRef struct {
+	sp     protocol.ShardedProtocol
+	shards []*mbox
+}
 
 // mbox is one shard's mailbox: a buffered channel with a FIFO overflow
 // queue. Loss-tolerant events (inbound messages) are posted with tryPost
-// and shed when the channel is full; loss-intolerant events (commit
-// handoffs, verification completions, timers) use postOrdered, which spills
+// and shed when the channel is full; loss-intolerant events (timers,
+// commit handoffs, verification completions) use postOrdered, which spills
 // to the overflow queue instead — preserving per-mailbox FIFO, which the
 // ordering stage's monotonic frontier guard depends on (a reordered commit
 // handoff would read as a chain gap) — and a single drainer goroutine
-// forwards the overflow without ever blocking the posting shard's loop.
+// forwards the overflow without ever blocking the posting loop.
 type mbox struct {
 	ch       chan event
 	mu       sync.Mutex
 	overflow []event
-	spilling bool
+	// spilling is written under mu and holds while overflow is non-empty;
+	// tryPost reads it without the lock.
+	spilling atomic.Bool
 }
+
+func newMbox() *mbox { return &mbox{ch: make(chan event, inboxDepth)} }
 
 func (mb *mbox) tryPost(ev event) bool {
 	// Overflow-queue contents must stay ahead of fresh events.
-	mb.mu.Lock()
-	clear := !mb.spilling && len(mb.overflow) == 0
-	mb.mu.Unlock()
-	if !clear {
+	if mb.spilling.Load() {
 		return false
 	}
 	select {
@@ -143,19 +152,17 @@ func (mb *mbox) tryPost(ev event) bool {
 
 func (mb *mbox) postOrdered(ev event, done <-chan struct{}) {
 	mb.mu.Lock()
-	if !mb.spilling && len(mb.overflow) == 0 {
+	if !mb.spilling.Load() {
 		select {
 		case mb.ch <- ev:
 			mb.mu.Unlock()
 			return
 		default:
 		}
-	}
-	mb.overflow = append(mb.overflow, ev)
-	if !mb.spilling {
-		mb.spilling = true
+		mb.spilling.Store(true)
 		go mb.drainOverflow(done)
 	}
+	mb.overflow = append(mb.overflow, ev)
 	mb.mu.Unlock()
 }
 
@@ -164,7 +171,7 @@ func (mb *mbox) drainOverflow(done <-chan struct{}) {
 		mb.mu.Lock()
 		if len(mb.overflow) == 0 {
 			mb.overflow = nil // release the backing array after a burst
-			mb.spilling = false
+			mb.spilling.Store(false)
 			mb.mu.Unlock()
 			return
 		}
@@ -196,14 +203,14 @@ type NodeConfig struct {
 	// Workers enables instance-parallel dispatch for protocols implementing
 	// protocol.ShardedProtocol: up to Workers mailbox+goroutine pairs host
 	// the protocol's instance shards (instance i on mailbox i mod workers)
-	// and one more hosts the serialized ordering stage. ≤ 1 keeps the
-	// classic single event loop (the default); non-sharded protocols always
-	// use the single loop regardless.
+	// in front of the ordering mailbox, which hosts the serialized ordering
+	// stage. ≤ 1 keeps every event on the ordering mailbox (the default);
+	// non-sharded protocols always run on that one mailbox regardless.
 	Workers int
 }
 
 const (
-	// inboxDepth bounds the event queue.
+	// inboxDepth bounds each mailbox's channel.
 	inboxDepth = 1 << 16
 	// verifyWorkers bounds the verification pool; 0 sizes it to GOMAXPROCS.
 	verifyWorkers = 0
@@ -219,8 +226,8 @@ func NewNode(cfg NodeConfig) *Node {
 		crypto:      cfg.Crypto,
 		src:         cfg.Source,
 		exec:        cfg.Executor,
-		inbox:       make(chan event, inboxDepth),
 		done:        make(chan struct{}),
+		ordering:    newMbox(),
 		verifier:    crypto.NewPoolVerifier(cfg.Crypto, verifyWorkers),
 		preVerified: cfg.PreVerified,
 		workers:     cfg.Workers,
@@ -242,21 +249,17 @@ func NewNode(cfg NodeConfig) *Node {
 // implementing protocol.IngressVerifier get their inbound signature checks
 // screened on the node's verification pool from this point on. With
 // NodeConfig.Workers > 1 and a protocol implementing
-// protocol.ShardedProtocol, per-shard mailboxes are set up and the protocol
+// protocol.ShardedProtocol, instance mailboxes are set up and the protocol
 // is bound to the node's cross-shard poster.
 func (n *Node) SetProtocol(p protocol.Protocol) {
 	n.proto = p
 	if sp, ok := p.(protocol.ShardedProtocol); ok && n.workers > 1 && sp.ShardCount() > 1 {
-		w := n.workers
-		if sp.ShardCount() < w {
-			w = sp.ShardCount()
-		}
-		n.shards = make([]*mbox, w+1) // last = ordering stage
-		for i := range n.shards {
-			n.shards[i] = &mbox{ch: make(chan event, cap(n.inbox))}
+		shards := make([]*mbox, min(n.workers, sp.ShardCount()))
+		for i := range shards {
+			shards[i] = newMbox()
 		}
 		sp.BindShards(n)
-		n.router.Store(&shardRef{sp: sp})
+		n.router.Store(&shardRef{sp: sp, shards: shards})
 	}
 	if iv, ok := p.(protocol.IngressVerifier); ok && !n.preVerified {
 		n.ingress.Store(&ingressRef{iv: iv})
@@ -267,35 +270,30 @@ func (n *Node) SetProtocol(p protocol.Protocol) {
 // in TCP deployments).
 func (n *Node) Verifier() *crypto.PoolVerifier { return n.verifier }
 
-// Start launches the event loop (or the per-shard loops) and invokes
-// Protocol.Start.
+// Start launches one loop per mailbox and invokes Protocol.Start on the
+// ordering mailbox; a sharded protocol fans its per-instance starts out
+// through PostShard itself.
 func (n *Node) Start() {
 	n.start = time.Now()
-	if n.shards != nil {
-		for i, mb := range n.shards {
-			n.wg.Add(1)
-			go n.shardLoop(mb, i == len(n.shards)-1)
-		}
-		// Protocol.Start runs on the ordering mailbox; a sharded protocol
-		// fans its per-instance starts out through PostShard itself.
-		n.orderingMailbox().postOrdered(event{kind: 2, fn: n.proto.Start}, n.done)
-		return
-	}
 	n.wg.Add(1)
-	go n.loop()
-	n.post(event{kind: 2, fn: n.proto.Start})
+	go n.loop(n.ordering)
+	if ref := n.router.Load(); ref != nil {
+		for _, mb := range ref.shards {
+			n.wg.Add(1)
+			go n.loop(mb)
+		}
+	}
+	n.ordering.postOrdered(event{kind: 2, fn: n.proto.Start}, n.done)
 }
 
-// orderingMailbox returns the ordering stage's mailbox (sharded mode only).
-func (n *Node) orderingMailbox() *mbox { return n.shards[len(n.shards)-1] }
-
-// shardMailbox maps a shard id to its mailbox (instance i on worker
-// i mod workers; negative ids on the ordering mailbox).
-func (n *Node) shardMailbox(shard int32) *mbox {
-	if shard < 0 {
-		return n.orderingMailbox()
+// mailbox maps a shard id to its mailbox: instance i on instance mailbox
+// i mod workers; negative ids, and every id on a single-mailbox node, on
+// the ordering mailbox.
+func (n *Node) mailbox(shard int32) *mbox {
+	if ref := n.router.Load(); ref != nil && shard >= 0 {
+		return ref.shards[int(shard)%len(ref.shards)]
 	}
-	return n.shards[int(shard)%(len(n.shards)-1)]
+	return n.ordering
 }
 
 // PostShard implements protocol.ShardPoster: fn runs serialized with the
@@ -303,11 +301,11 @@ func (n *Node) shardMailbox(shard int32) *mbox {
 // never blocks the posting shard's loop — a blocking send could deadlock
 // two shards posting into each other's full mailboxes.
 func (n *Node) PostShard(shard int32, fn func()) {
-	n.shardMailbox(shard).postOrdered(event{kind: 2, fn: fn}, n.done)
+	n.mailbox(shard).postOrdered(event{kind: 2, fn: fn}, n.done)
 }
 
-// Stop terminates the event loop and releases the verification pool. It is
-// idempotent: Cluster.Kill followed by a deferred Cluster.Stop (the
+// Stop terminates the mailbox loops and releases the verification pool. It
+// is idempotent: Cluster.Kill followed by a deferred Cluster.Stop (the
 // crash-recovery drill's failure path) must not double-close.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
@@ -317,7 +315,7 @@ func (n *Node) Stop() {
 	})
 }
 
-// Dropped reports inbox overflow events.
+// Dropped reports inbound messages shed on a full mailbox.
 func (n *Node) Dropped() uint64 { return n.dropped.Load() }
 
 // BadSigs reports messages dropped by ingress signature screening.
@@ -339,94 +337,39 @@ func (n *Node) receive(from types.NodeID, msg types.Message) {
 	n.postMessage(from, msg)
 }
 
-// postMessage routes one inbound (pre-verified) message to its shard
-// mailbox, or to the single-loop inbox. Messages are loss-tolerant: a full
-// mailbox sheds them (the dropped counter) rather than blocking the
-// transport.
+// postMessage posts one inbound (pre-verified) message to the mailbox of
+// its shard, or to the ordering mailbox while no router exists. Messages
+// are loss-tolerant: a full mailbox sheds them (the dropped counter)
+// rather than blocking the transport; BFT protocols tolerate loss (the
+// paper's asynchronous communication model).
 func (n *Node) postMessage(from types.NodeID, msg types.Message) {
+	ev := event{kind: 0, from: from, msg: msg}
+	mb := n.ordering
 	if ref := n.router.Load(); ref != nil {
-		mb := n.shardMailbox(ref.sp.InstanceOf(msg))
-		if !mb.tryPost(event{kind: 0, from: from, msg: msg}) {
-			select {
-			case <-n.done:
-			default:
-				n.dropped.Add(1)
-			}
-		}
-		return
+		mb, ev.routed = n.mailbox(ref.sp.InstanceOf(msg)), true
 	}
-	n.post(event{kind: 0, from: from, msg: msg})
-}
-
-func (n *Node) post(ev event) {
-	select {
-	case n.inbox <- ev:
-	case <-n.done:
-	default:
-		// Shed load rather than deadlock the transport; BFT protocols
-		// tolerate loss (the paper's asynchronous communication model).
-		n.dropped.Add(1)
-	}
-}
-
-// postCompletion delivers a VerifyAsync completion. Unlike post it never
-// sheds — the Context.VerifyAsync contract promises exactly-once delivery
-// and protocols key pending state on it. It must not block either: the
-// pool may resolve a verdict synchronously on the event-loop goroutine
-// itself (structurally infeasible batch, saturated-pool inline fallback),
-// and a blocking send to the loop's own full inbox would deadlock the
-// replica. A full inbox therefore hands the waiting to a fresh goroutine.
-func (n *Node) postCompletion(ev event) {
-	select {
-	case n.inbox <- ev:
-	case <-n.done:
-	default:
-		go func() {
-			select {
-			case n.inbox <- ev:
-			case <-n.done:
-			}
-		}()
-	}
-}
-
-func (n *Node) loop() {
-	defer n.wg.Done()
-	for {
+	if !mb.tryPost(ev) {
 		select {
 		case <-n.done:
-			return
-		case ev := <-n.inbox:
-			n.dispatch(ev)
+		default:
+			n.dropped.Add(1)
 		}
 	}
 }
 
-// shardLoop drains one shard mailbox. The ordering loop additionally
-// forwards stragglers from inbox: events posted by transport goroutines in
-// the window before SetProtocol published the router.
-func (n *Node) shardLoop(mb *mbox, ordering bool) {
+// loop drains one mailbox. A message that reached the ordering mailbox
+// before SetProtocol published the router is forwarded to its shard.
+func (n *Node) loop(mb *mbox) {
 	defer n.wg.Done()
 	for {
-		if ordering {
-			select {
-			case <-n.done:
-				return
-			case ev := <-mb.ch:
-				n.dispatch(ev)
-			case ev := <-n.inbox:
-				if ev.kind == 0 {
-					n.postMessage(ev.from, ev.msg)
-				} else {
-					n.dispatch(ev)
-				}
-			}
-			continue
-		}
 		select {
 		case <-n.done:
 			return
 		case ev := <-mb.ch:
+			if ev.kind == 0 && !ev.routed && n.router.Load() != nil {
+				n.postMessage(ev.from, ev.msg)
+				continue
+			}
 			n.dispatch(ev)
 		}
 	}
@@ -485,31 +428,25 @@ func (n *Node) Broadcast(msg types.Message) {
 	}
 }
 
-// SetTimer implements protocol.Context. Sharded timers route to the shard
-// named by the tag and never shed (adaptive view timers are the liveness
-// backbone); single-loop behaviour is unchanged.
+// SetTimer implements protocol.Context. The expiry goes to the mailbox of
+// the shard named by the tag and is never shed: adaptive view timers are
+// the liveness backbone, and self-re-arming timers (retransmission,
+// dissemination pump) would stop for good after one lost tick.
 func (n *Node) SetTimer(d time.Duration, tag protocol.TimerTag) {
 	time.AfterFunc(d, func() {
-		if n.router.Load() != nil {
-			n.shardMailbox(tag.Instance).postOrdered(event{kind: 1, tag: tag}, n.done)
-			return
-		}
-		n.post(event{kind: 1, tag: tag})
+		n.mailbox(tag.Instance).postOrdered(event{kind: 1, tag: tag}, n.done)
 	})
 }
 
 // VerifyAsync implements protocol.Context: the job runs on the node's
-// verification pool and its completion is posted back to the event loop —
-// or, sharded, to the mailbox of the shard named by the job's tag —
-// honouring the completion-ordering contract (never reentrant, exactly
-// once, correlated by tag).
+// verification pool and its completion is posted to the mailbox of the
+// shard named by the job's tag, honouring the completion-ordering contract
+// (never reentrant, exactly once, correlated by tag). postOrdered never
+// blocks, so a verdict the pool resolves synchronously on the posting loop
+// itself cannot deadlock on that loop's full mailbox.
 func (n *Node) VerifyAsync(job protocol.VerifyJob) {
 	n.verifier.VerifyBatchAsync(job.Checks, job.Quorum, func(ok bool) {
-		if n.router.Load() != nil {
-			n.shardMailbox(job.Tag.Instance).postOrdered(event{kind: 3, tag: job.Tag, ok: ok}, n.done)
-			return
-		}
-		n.postCompletion(event{kind: 3, tag: job.Tag, ok: ok})
+		n.mailbox(job.Tag.Instance).postOrdered(event{kind: 3, tag: job.Tag, ok: ok}, n.done)
 	})
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // queueSource is a simple thread-unsafe FIFO source for cluster tests
-// (wrapped by SafeSource inside the cluster).
+// (the cluster serializes its calls).
 type queueSource struct {
 	mu     sync.Mutex
 	queues map[int32][]*types.Batch
